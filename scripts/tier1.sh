@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 gate: full build + test suite, then the exec/campaign tests again
-# under ThreadSanitizer to catch data races in the qif::exec thread pool,
-# the parallel campaign runner, and the thread-parallel GEMM path, and an
-# AddressSanitizer leg over the .qds corruption-fuzz and reader tests so
-# hostile bytes can never turn into a silent out-of-bounds read.
+# Tier-1 gate: warning-free (-Werror) build + test suite, then the
+# exec/campaign tests again under ThreadSanitizer to catch data races in
+# the qif::exec thread pool, the campaign task graph, and the
+# thread-parallel GEMM path, an AddressSanitizer leg over the .qds
+# corruption-fuzz and reader tests so hostile bytes can never turn into a
+# silent out-of-bounds read, and the pipeline benchmark's own tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "=== tier-1: standard build + ctest ==="
-cmake -B build -S .
+echo "=== tier-1: standard build (warnings are errors) + ctest ==="
+cmake -B build -S . -DQIF_WERROR=ON
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
@@ -89,5 +90,12 @@ echo "=== tier-1: benchmark smoke ==="
 # mitigation-on beating off on both mean degradation and victim p99 (the
 # mitigation-wins gate, end to end through the CLI).
 ./scripts/bench_ctrl.sh --smoke
+
+echo "=== tier-1: pipeline benchmark tests ==="
+# The benchmark's own suite builds into .bench_build/ from src/ and
+# asserts, among others, that its traced campaign driver reproduces
+# run_campaign and run_mitigation_study byte for byte — the contract the
+# campaign task graph must keep.
+python3 perfbench/run.py --test
 
 echo "tier-1 OK"

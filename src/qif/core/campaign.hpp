@@ -10,12 +10,18 @@
 // The work decomposes into pure per-task functions (baseline runs and case
 // runs) with no shared mutable state: every scenario owns its own
 // sim::Simulation and derived RNG seed.  The free functions below are that
-// task surface; Campaign::run() is the sequential driver over them, and
-// qif::exec::ParallelCampaignRunner fans the same tasks across a thread
-// pool with bit-identical results.
+// task surface.  One scheduler drives them: run_campaigns() turns a list of
+// campaigns into a task graph (every unique baseline and every case is a
+// node, each case depending on its baseline) and runs it on a pool of
+// `jobs` workers, the calling thread being one of them.  run_campaign(),
+// run_mitigation_study() and Campaign::run() are that graph at one job;
+// the output is bit-identical at every job count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -135,12 +141,41 @@ struct CampaignBaseline {
 /// Assembles per-case results (in declaration order) into one campaign
 /// result: outcomes in order, successful shards block-appended into a
 /// reserve-once dataset (O(shards) heap allocations regardless of window
-/// count).  Shared by the sequential driver below and
-/// exec::ParallelCampaignRunner's stitch phase.
+/// count).  run_campaigns() stitches each campaign with it.
 [[nodiscard]] CampaignResult stitch_case_results(std::vector<CaseResult> cases);
 
-/// Sequential driver: baselines first (each seed once), then every case in
-/// declaration order.
+/// Ordered streaming hook for run_campaigns(): invoked once per case, in
+/// (campaign, case) declaration order, as soon as that case AND every
+/// earlier one have finished (so a long campaign's results can hit disk
+/// incrementally instead of accumulating until the end).  Calls are
+/// serialized — at most one runs at a time — but they may execute on pool
+/// workers, concurrently with later cases still simulating; the sink must
+/// not touch campaign state beyond the result it is handed.  One worker at
+/// a time drains the finished prefix into the sinks; the others hand their
+/// finished case over and go on dispatching.  If a sink throws, no sink is
+/// called again, no further task starts, and run_campaigns() rethrows once
+/// the running ones have finished.
+using CaseSink =
+    std::function<void(std::size_t campaign, std::size_t index, const CaseResult&)>;
+
+/// Ordered per-campaign hook for run_campaigns(): invoked once per campaign,
+/// in declaration order, with its stitched result, right after its last
+/// case has been handed to the CaseSink.  Same rules as CaseSink.
+using CampaignSink = std::function<void(std::size_t campaign, const CampaignResult&)>;
+
+/// Runs every campaign of `configs` as one task graph on `jobs` workers
+/// (values < 1 are clamped to 1; 1 runs inline on the calling thread) and
+/// returns one result per campaign, in order.  A case is dispatched as soon
+/// as its baseline finishes, ahead of baselines not yet started; ready
+/// cases go in declaration order, and baselines in first-appearance order.
+/// A baseline's trace is freed once its last case is joined.  Failed
+/// baselines and cases are reported per case via CaseOutcome::error, never
+/// thrown.
+[[nodiscard]] std::vector<CampaignResult> run_campaigns(std::span<const CampaignConfig> configs,
+                                                        int jobs, const CaseSink& sink = {},
+                                                        const CampaignSink& on_campaign = {});
+
+/// One campaign on one job: the graph above, inline.
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config);
 
 /// On-vs-off mitigation twins over the same seeds.
@@ -150,18 +185,18 @@ struct MitigationStudy {
 };
 
 /// Runs the campaign twice — once with mitigation stripped, once with
-/// `config.mitigation` armed — sharing each seed's baseline, so the two
-/// sides differ in nothing but the controllers.  Throws std::invalid_argument
-/// when config.mitigation is empty (there would be no "on" side).
+/// `config.mitigation` armed — as one graph on one job in which each
+/// baseline has an off and an on child per case, so the two sides differ in
+/// nothing but the controllers.  Throws std::invalid_argument when config.mitigation is
+/// empty (there would be no "on" side).
 [[nodiscard]] MitigationStudy run_mitigation_study(const CampaignConfig& config);
 
 class Campaign {
  public:
   explicit Campaign(CampaignConfig config);
 
-  /// Runs every case sequentially and returns the accumulated labelled
-  /// dataset.  (For the parallel path see exec::ParallelCampaignRunner,
-  /// whose output is bit-identical.)
+  /// Runs the campaign on one job (run_campaign) and returns the labelled
+  /// dataset; the outcomes are kept for outcomes().
   [[nodiscard]] monitor::Dataset run();
 
   [[nodiscard]] const std::vector<CaseOutcome>& outcomes() const { return outcomes_; }

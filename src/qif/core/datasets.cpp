@@ -31,44 +31,76 @@ int scaled_cases(int base, double richness) {
   return std::max(1, static_cast<int>(std::lround(base * richness)));
 }
 
-monitor::Dataset run_campaign_for_target(const std::string& target,
-                                         const std::vector<CaseSpec>& cases,
-                                         const DatasetOptions& options) {
-  CampaignConfig cc;
-  cc.target_workload = target;
-  cc.target_nodes = 2;
-  cc.target_procs_per_node = 2;
-  cc.target_scale = standard_scale(target);
-  cc.cases = cases;
-  cc.cluster = testbed_cluster_config(options.seed);
-  cc.bin_thresholds = options.bin_thresholds;
-  cc.min_ops_per_window = options.min_ops_per_window;
-  cc.faults = options.faults;
-  cc.mitigation = options.mitigation;
-  CampaignResult result = options.runner ? options.runner(cc) : run_campaign(cc);
-  if (options.on_result) options.on_result(target, result);
-  if (options.verbose) {
-    std::size_t windows = 0;
-    std::size_t failed = 0;
-    for (const auto& o : result.outcomes) {
-      windows += o.windows;
-      if (!o.ok()) ++failed;
+/// Runs one dataset family's campaigns through DatasetOptions::runner.  A
+/// CampaignPool runner receives the whole family in one call from finish()
+/// and reports each campaign as soon as it is complete; any other hook, and
+/// the default run_campaign, is called from add() as each config is built,
+/// so a hook sees every config the moment it exists.  Either way the results
+/// are reported and appended in target order.
+class FamilyRun {
+ public:
+  explicit FamilyRun(const DatasetOptions& options)
+      : options_(options), pool_(options.runner.target<CampaignPool>()) {}
+
+  void add(const std::string& target, std::vector<CaseSpec> cases) {
+    CampaignConfig cc;
+    cc.target_workload = target;
+    cc.target_nodes = 2;
+    cc.target_procs_per_node = 2;
+    cc.target_scale = standard_scale(target);
+    cc.cases = std::move(cases);
+    cc.cluster = testbed_cluster_config(options_.seed);
+    cc.bin_thresholds = options_.bin_thresholds;
+    cc.min_ops_per_window = options_.min_ops_per_window;
+    cc.faults = options_.faults;
+    cc.mitigation = options_.mitigation;
+    if (pool_ != nullptr) {
+      planned_.push_back(std::move(cc));
+    } else {
+      report(target, options_.runner ? options_.runner(cc) : run_campaign(cc));
     }
-    std::printf("  campaign %-14s: %2zu cases, %4zu windows", target.c_str(),
-                result.outcomes.size(), windows);
-    if (failed > 0) std::printf(", %zu FAILED", failed);
-    std::printf("\n");
-    std::fflush(stdout);
   }
-  return std::move(result.dataset);
-}
+
+  monitor::Dataset finish() {
+    if (pool_ != nullptr) {
+      (void)pool_->run(planned_, [this](std::size_t c, const CampaignResult& result) {
+        report(planned_[c].target_workload, result);
+      });
+    }
+    return std::move(all_);
+  }
+
+ private:
+  void report(const std::string& target, const CampaignResult& result) {
+    if (options_.on_result) options_.on_result(target, result);
+    if (options_.verbose) {
+      std::size_t windows = 0;
+      std::size_t failed = 0;
+      for (const auto& o : result.outcomes) {
+        windows += o.windows;
+        if (!o.ok()) ++failed;
+      }
+      std::printf("  campaign %-14s: %2zu cases, %4zu windows", target.c_str(),
+                  result.outcomes.size(), windows);
+      if (failed > 0) std::printf(", %zu FAILED", failed);
+      std::printf("\n");
+      std::fflush(stdout);
+    }
+    all_.append(result.dataset);
+  }
+
+  const DatasetOptions& options_;
+  const CampaignPool* pool_;
+  std::vector<CampaignConfig> planned_;
+  monitor::Dataset all_;
+};
 
 }  // namespace
 
 monitor::Dataset build_io500_dataset(const DatasetOptions& options) {
   const std::vector<std::string> noises = {"ior-easy-read", "ior-easy-write",
                                            "mdt-hard-write"};
-  monitor::Dataset all;
+  FamilyRun family(options);
   std::uint64_t seed = options.seed;
   for (const auto& target : workloads::io500_tasks()) {
     std::vector<CaseSpec> cases;
@@ -82,17 +114,17 @@ monitor::Dataset build_io500_dataset(const DatasetOptions& options) {
         }
       }
     }
-    all.append(run_campaign_for_target(target, cases, options));
+    family.add(target, std::move(cases));
   }
-  return all;
+  return family.finish();
 }
 
 monitor::Dataset build_dlio_dataset(const DatasetOptions& options) {
-  monitor::Dataset all;
   DatasetOptions opts = options;
   // Loader I/O is bursty: a window often holds one or two sample reads,
   // and a single-op Level_degrade is label noise at the 2x boundary.
   opts.min_ops_per_window = std::max<std::size_t>(options.min_ops_per_window, 3);
+  FamilyRun family(opts);
   std::uint64_t seed = options.seed + 1000;
   for (const std::string target : {"dlio-unet3d", "dlio-bert"}) {
     std::vector<CaseSpec> cases;
@@ -109,16 +141,16 @@ monitor::Dataset build_dlio_dataset(const DatasetOptions& options) {
       cases.push_back({"ior-easy-read", 8, 1.0, ++seed});
       cases.push_back({"ior-hard-read", 15, 1.0, ++seed});
     }
-    all.append(run_campaign_for_target(target, cases, opts));
+    family.add(target, std::move(cases));
   }
-  return all;
+  return family.finish();
 }
 
 monitor::Dataset build_app_dataset(const std::string& app, const DatasetOptions& options) {
   // The paper's protocol: "each application was run once without
   // interference ... and then repeated three times with increasing amounts
   // of concurrent instances of IO500 launched on each of the other nodes".
-  monitor::Dataset all;
+  FamilyRun family(options);
   std::uint64_t seed = options.seed + 2000;
   const std::vector<std::string> noises = {"ior-easy-write", "ior-easy-read",
                                            "mdt-hard-write"};
@@ -132,8 +164,8 @@ monitor::Dataset build_app_dataset(const std::string& app, const DatasetOptions&
       }
     }
   }
-  all.append(run_campaign_for_target(app, cases, options));
-  return all;
+  family.add(app, std::move(cases));
+  return family.finish();
 }
 
 }  // namespace qif::core

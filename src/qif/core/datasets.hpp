@@ -12,7 +12,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qif/core/campaign.hpp"
@@ -21,10 +23,30 @@
 namespace qif::core {
 
 /// How a dataset builder executes one campaign.  The default (a null
-/// function) is the sequential core::run_campaign; exec::campaign_runner(N)
-/// supplies a thread-pool-backed runner with bit-identical output.  The
-/// hook keeps qif_core free of any dependency on qif_exec.
+/// function) is the one-job core::run_campaign.  The hook keeps qif_core
+/// free of any dependency on qif_exec, and lets callers observe or replace
+/// each campaign as it is built.
 using CampaignRunFn = std::function<CampaignResult(const CampaignConfig&)>;
+
+/// The graph runner: the campaigns it is handed run as one run_campaigns()
+/// task graph on `jobs` workers, streaming every case through the optional
+/// ordered `sink`.  exec::campaign_runner(jobs) wraps one in a
+/// CampaignRunFn.  The dataset builders recognise it there
+/// (CampaignRunFn::target) and hand it a whole family's campaigns in one
+/// call, so one target's slow cases overlap the next target's baselines; any
+/// other hook is called once per campaign, in order, as each config is built.
+struct CampaignPool {
+  int jobs = 1;
+  CaseSink sink;  ///< sees (campaign-in-call, case) pairs in declaration order
+
+  [[nodiscard]] std::vector<CampaignResult> run(std::span<const CampaignConfig> configs,
+                                                const CampaignSink& on_campaign = {}) const {
+    return run_campaigns(configs, jobs, sink, on_campaign);
+  }
+  CampaignResult operator()(const CampaignConfig& config) const {
+    return std::move(run(std::span(&config, 1)).front());
+  }
+};
 
 struct DatasetOptions {
   std::vector<double> bin_thresholds = {2.0};  ///< {2} binary; {2,5} 3-class
@@ -34,16 +56,19 @@ struct DatasetOptions {
   /// Windows with fewer matched ops are dropped (Level_degrade over one or
   /// two ops is mostly noise; bursty loaders like DLIO need this).
   std::size_t min_ops_per_window = 1;
-  CampaignRunFn runner;     ///< null = run campaigns sequentially
+  CampaignRunFn runner;     ///< null = run_campaign, one campaign at a time
   /// Fault plan injected into every campaign's case runs (baselines stay
   /// healthy).  Empty = the historical healthy datasets.
   pfs::faults::FaultPlan faults;
   /// Mitigation policy armed on every campaign's case runs (baselines stay
   /// untouched).  Empty = the historical unmitigated datasets.
   ctrl::MitigationConfig mitigation;
-  /// Called after each campaign finishes with the target workload's name
-  /// and its full result (outcomes + dataset shard) — the CLI's mitigation
-  /// study aggregates on-vs-off comparisons through this.
+  /// Called once per campaign, in target order, with the target workload's
+  /// name and its full result (outcomes + dataset shard) — the CLI's
+  /// mitigation study aggregates on-vs-off comparisons through this.  Under
+  /// a CampaignPool runner each call comes as soon as that campaign's last
+  /// case has been handed to the pool's sink; the calls are serialized but
+  /// may run on a pool worker.
   std::function<void(const std::string& target, const CampaignResult& result)> on_result;
 };
 

@@ -1,74 +1,11 @@
 #include "qif/exec/parallel_runner.hpp"
 
-#include <cstddef>
-#include <map>
-#include <mutex>
 #include <utility>
-#include <vector>
-
-#include "qif/exec/thread_pool.hpp"
 
 namespace qif::exec {
 
-ParallelCampaignRunner::ParallelCampaignRunner(core::CampaignConfig config, int jobs)
-    : config_(std::move(config)), jobs_(jobs < 1 ? 1 : jobs) {}
-
-core::CampaignResult ParallelCampaignRunner::run(const CaseSink& sink) const {
-  ThreadPool pool(jobs_);
-
-  // Phase 1: every unique baseline, concurrently.  Each slot is written by
-  // exactly one task.
-  const std::vector<std::uint64_t> seeds = core::campaign_baseline_seeds(config_);
-  std::vector<core::CampaignBaseline> baselines(seeds.size());
-  pool.for_each_index(seeds.size(), [&](std::size_t i) {
-    baselines[i] = core::run_campaign_baseline(config_, seeds[i]);
-  });
-  std::map<std::uint64_t, const core::CampaignBaseline*> baseline_by_seed;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    baseline_by_seed.emplace(seeds[i], &baselines[i]);
-  }
-
-  // Phase 2: fan the cases out.  run_campaign_case captures its own
-  // errors, so a throwing scenario fails that case, not the campaign.
-  // Each finished case is handed to the sink as soon as its whole ordered
-  // prefix is done: done[] marks completions, and whichever worker
-  // completes the case at the cursor drains the run of consecutive
-  // finished cases under the mutex (so sink calls are serialized and in
-  // declaration order while later cases keep simulating).
-  std::vector<core::CaseResult> cases(config_.cases.size());
-  std::vector<char> done(config_.cases.size(), 0);
-  std::size_t next_to_emit = 0;
-  std::mutex emit_mutex;
-  pool.for_each_index(config_.cases.size(), [&](std::size_t i) {
-    const core::CaseSpec& cs = config_.cases[i];
-    cases[i] = core::run_campaign_case(config_, cs, *baseline_by_seed.at(cs.seed));
-    if (!sink) return;
-    const std::lock_guard<std::mutex> lock(emit_mutex);
-    done[i] = 1;
-    while (next_to_emit < done.size() && done[next_to_emit] != 0) {
-      sink(next_to_emit, cases[next_to_emit]);
-      ++next_to_emit;
-    }
-  });
-
-  // Phase 3: stitch shards and outcomes back in declaration order — the
-  // invariant that makes the output byte-identical to the sequential path.
-  // Same reserve-once block assembly the sequential driver uses.
-  return core::stitch_case_results(std::move(cases));
-}
-
-core::CampaignResult run_campaign_parallel(const core::CampaignConfig& config,
-                                           int jobs) {
-  return ParallelCampaignRunner(config, jobs).run();
-}
-
-core::CampaignRunFn campaign_runner(int jobs) {
-  if (jobs <= 1) {
-    return [](const core::CampaignConfig& config) { return core::run_campaign(config); };
-  }
-  return [jobs](const core::CampaignConfig& config) {
-    return run_campaign_parallel(config, jobs);
-  };
+core::CampaignRunFn campaign_runner(int jobs, core::CaseSink sink) {
+  return core::CampaignPool{jobs, std::move(sink)};
 }
 
 }  // namespace qif::exec

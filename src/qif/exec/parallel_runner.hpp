@@ -1,59 +1,21 @@
 // Parallel campaign execution.
 //
-// Fans a campaign's independent scenario simulations across a fixed-size
-// ThreadPool: phase 1 runs every unique baseline concurrently, phase 2
-// fans the cases out, and collection happens in case-declaration order so
-// the dataset and outcome vector are bit-identical to the sequential
-// core::run_campaign() path regardless of the job count.  Safe because
-// every scenario owns its own sim::Simulation, cluster and derived RNG
-// seed — no shared state crosses task boundaries.
+// The scheduler itself is core::run_campaigns(): one task graph over every
+// baseline and case of a list of campaigns, run on a pool of `jobs`
+// workers with output bit-identical at every job count.  This header keeps
+// the entry point that front ends pass a --jobs value through.
 #pragma once
-
-#include <cstddef>
-#include <functional>
 
 #include "qif/core/campaign.hpp"
 #include "qif/core/datasets.hpp"
 
 namespace qif::exec {
 
-/// Ordered streaming hook: invoked once per case, in case-declaration
-/// order, as soon as that case AND every earlier case have finished (so a
-/// long campaign's results can hit disk incrementally instead of
-/// accumulating until the final stitch).  Calls are serialized — at most
-/// one sink invocation runs at a time — but they execute on pool worker
-/// threads, concurrently with later cases still simulating; the sink must
-/// not touch campaign state beyond the result it is handed.
-using CaseSink = std::function<void(std::size_t index, const core::CaseResult&)>;
-
-class ParallelCampaignRunner {
- public:
-  /// `jobs` is the worker count; values < 1 are clamped to 1 (which is
-  /// still the parallel code path, just on a single worker).
-  ParallelCampaignRunner(core::CampaignConfig config, int jobs);
-
-  /// Runs the whole campaign.  Failed cases are reported per-case via
-  /// CaseOutcome::error; their shards are skipped, exactly as in the
-  /// sequential driver.  A non-null `sink` observes every finished case
-  /// in declaration order (see CaseSink); the returned result is the same
-  /// either way.
-  [[nodiscard]] core::CampaignResult run(const CaseSink& sink = {}) const;
-
-  [[nodiscard]] int jobs() const { return jobs_; }
-  [[nodiscard]] const core::CampaignConfig& config() const { return config_; }
-
- private:
-  core::CampaignConfig config_;
-  int jobs_;
-};
-
-/// Runs `config` with `jobs` workers and returns the stitched result.
-[[nodiscard]] core::CampaignResult run_campaign_parallel(
-    const core::CampaignConfig& config, int jobs);
-
-/// A DatasetOptions::runner hook: campaigns launched through it execute on
-/// `jobs` workers.  With jobs <= 1 the sequential driver is returned, so
-/// callers can pass a --jobs value through unconditionally.
-[[nodiscard]] core::CampaignRunFn campaign_runner(int jobs);
+/// A DatasetOptions::runner hook: campaigns launched through it run on the
+/// task graph with `jobs` workers (values < 1 are clamped to 1, which runs
+/// inline on the calling thread), streaming every case through the
+/// optional ordered `sink`.  It wraps a core::CampaignPool, so the dataset
+/// builders hand it a whole family's campaigns in one call.
+[[nodiscard]] core::CampaignRunFn campaign_runner(int jobs, core::CaseSink sink = {});
 
 }  // namespace qif::exec

@@ -163,7 +163,7 @@ void ServingModel::validate_feature_width(int schema_dim) const {
 }
 
 void save_model(const ServingModel& model, std::ostream& os) {
-  Writer w{os};
+  Writer w{os, {}};
   w.raw(kMagic, sizeof kMagic);
   w.u32(kFormatVersion);
   w.u32(static_cast<std::uint32_t>(model.kind));
@@ -201,7 +201,7 @@ void save_model(const ServingModel& model, std::ostream& os) {
 }
 
 ServingModel load_model(std::istream& is) {
-  Reader r{is};
+  Reader r{is, {}};
   char magic[4] = {};
   r.raw(magic, sizeof magic, "magic");
   if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {

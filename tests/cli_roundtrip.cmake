@@ -16,6 +16,25 @@ if(NOT EXISTS ${WORK_DIR}/shards/amrex.qdm)
   message(FATAL_ERROR "campaign --stream-out did not seal a manifest")
 endif()
 run(${QIF_CLI} dataset info shards/amrex.qdm)
+# A two-campaign family runs as one task graph: the streamed shards must
+# still merge to the in-RAM bytes at --jobs 4, and both outputs must equal
+# the --jobs 1 run.
+run(${QIF_CLI} campaign dlio --richness 0.5 --jobs 1 --stream-out dlio1 --out dlio1.qds)
+run(${QIF_CLI} campaign dlio --richness 0.5 --jobs 4 --stream-out dlio4 --out dlio4.qds)
+file(GLOB shards RELATIVE ${WORK_DIR}/dlio1 ${WORK_DIR}/dlio1/*.qds)
+list(LENGTH shards n_shards)
+if(n_shards LESS 2)
+  message(FATAL_ERROR "campaign dlio --stream-out wrote ${n_shards} shard(s)")
+endif()
+list(TRANSFORM shards PREPEND "dlio1/" OUTPUT_VARIABLE at_jobs1)
+foreach(a dlio1.qds ${at_jobs1})
+  string(REPLACE "dlio1" "dlio4" b "${a}")
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${a} ${b}
+                  WORKING_DIRECTORY ${WORK_DIR} RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "campaign dlio --jobs 4 wrote ${b}, which differs from ${a} at --jobs 1")
+  endif()
+endforeach()
 run(${QIF_CLI} train --data data.csv --out model.txt --epochs 20)
 run(${QIF_CLI} eval --data data.csv --model model.txt)
 # The streamed manifest feeds the chunked trainer directly.

@@ -66,8 +66,8 @@ TEST(CampaignFaults, EmptyPlanMatchesPreFaultGoldenByteExact) {
   EXPECT_EQ(sequential, golden)
       << "healthy campaign output drifted from the pre-fault-layer golden";
 
-  const exec::ParallelCampaignRunner runner(cc, 4);
-  EXPECT_EQ(campaign_csv(runner.run()), golden)
+  const CampaignRunFn runner = exec::campaign_runner(4);
+  EXPECT_EQ(campaign_csv(runner(cc)), golden)
       << "parallel (4-worker) healthy campaign drifted from the golden";
 }
 
@@ -79,9 +79,9 @@ TEST(CampaignFaults, FaultedCampaignIsByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(sequential.dataset.dim(), monitor::MetricSchema::kPerServerDimFaults);
   ASSERT_FALSE(sequential.dataset.empty());
 
-  const exec::ParallelCampaignRunner runner(cc, 4);
+  const CampaignRunFn runner = exec::campaign_runner(4);
   const std::string seq_csv = campaign_csv(sequential);
-  EXPECT_EQ(seq_csv, campaign_csv(runner.run()));
+  EXPECT_EQ(seq_csv, campaign_csv(runner(cc)));
 
   // And the faults actually changed the data.
   const std::string golden =
@@ -99,8 +99,8 @@ TEST(CampaignFaults, FaultedMitigatedCampaignIsByteIdenticalAcrossJobCounts) {
   cc.mitigation = ctrl::parse_mitigation("token");
   const CampaignResult sequential = run_campaign(cc);
   ASSERT_FALSE(sequential.dataset.empty());
-  const exec::ParallelCampaignRunner runner(cc, 4);
-  EXPECT_EQ(campaign_csv(sequential), campaign_csv(runner.run()));
+  const CampaignRunFn runner = exec::campaign_runner(4);
+  EXPECT_EQ(campaign_csv(sequential), campaign_csv(runner(cc)));
 }
 
 TEST(CampaignFaults, DegradedOstCampaignShowsHigherDegradationThanHealthyTwin) {

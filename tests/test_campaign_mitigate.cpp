@@ -72,8 +72,8 @@ TEST(CampaignMitigate, MitigatedCampaignIsByteIdenticalAcrossJobCounts) {
   ASSERT_FALSE(sequential.dataset.empty());
   const std::string seq_csv = campaign_csv(sequential);
 
-  const exec::ParallelCampaignRunner runner(cc, 4);
-  EXPECT_EQ(seq_csv, campaign_csv(runner.run()));
+  const CampaignRunFn runner = exec::campaign_runner(4);
+  EXPECT_EQ(seq_csv, campaign_csv(runner(cc)));
 
   // And the controllers actually moved the data: the mitigated CSV differs
   // from the unmitigated golden, and the noisy cases saw throttling.

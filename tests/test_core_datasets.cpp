@@ -2,7 +2,10 @@
 // character, richness scaling, and CSV interop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "qif/core/datasets.hpp"
 #include "qif/monitor/export.hpp"
@@ -113,6 +116,44 @@ TEST(Datasets, CsvAndQdsAgreeOnCampaignData) {
   EXPECT_EQ(from_qds.feature_block(), ds.feature_block());
 }
 
+TEST(Datasets, PoolRunnerRunsTheWholeFamilyAsOneGraph) {
+  // The graph runner gets both DLIO targets in one call (its sink sees
+  // campaign indices 0 and 1 in order); the dataset, and the on_result
+  // calls in target order, match the one-campaign-at-a-time default.  The
+  // first target is reported as soon as its last case is through the sink,
+  // before the second target's first case.
+  std::vector<std::string> targets_default;
+  DatasetOptions o = cheap();
+  o.on_result = [&](const std::string& t, const CampaignResult&) { targets_default.push_back(t); };
+  const monitor::Dataset sequential = build_dlio_dataset(o);
+
+  std::vector<std::string> targets_pool;
+  std::vector<std::size_t> campaigns_seen;
+  std::vector<std::size_t> cases_before_report;
+  o.on_result = [&](const std::string& t, const CampaignResult&) {
+    targets_pool.push_back(t);
+    cases_before_report.push_back(campaigns_seen.size());
+  };
+  o.runner = CampaignPool{2, [&](std::size_t campaign, std::size_t, const CaseResult&) {
+                            campaigns_seen.push_back(campaign);
+                          }};
+  const monitor::Dataset pooled = build_dlio_dataset(o);
+
+  EXPECT_EQ(targets_pool, targets_default);
+  EXPECT_EQ(targets_pool, (std::vector<std::string>{"dlio-unet3d", "dlio-bert"}));
+  ASSERT_FALSE(campaigns_seen.empty());
+  EXPECT_TRUE(std::is_sorted(campaigns_seen.begin(), campaigns_seen.end()));
+  EXPECT_EQ(campaigns_seen.front(), 0u);
+  EXPECT_EQ(campaigns_seen.back(), 1u);
+  const auto first_target_cases = static_cast<std::size_t>(
+      std::count(campaigns_seen.begin(), campaigns_seen.end(), std::size_t{0}));
+  EXPECT_EQ(cases_before_report,
+            (std::vector<std::size_t>{first_target_cases, campaigns_seen.size()}));
+  std::stringstream a, b;
+  monitor::write_dataset_qds(a, sequential);
+  monitor::write_dataset_qds(b, pooled);
+  EXPECT_EQ(a.str(), b.str());
+}
 
 }  // namespace
 }  // namespace qif::core

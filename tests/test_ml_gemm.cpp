@@ -229,9 +229,6 @@ TEST(Gemm, RowResultsAreIndependentOfRowCount) {
   // from the 4-row micro-kernel, so the same row produced different last
   // bits at m=1 than inside a larger batch.  Shapes cover the serving head
   // layers, the kernel stage, and tile-tail row counts.
-  struct Shape {
-    std::size_t m, k, n;
-  };
   for (const Shape s : {Shape{4, 7, 32}, Shape{4, 32, 2}, Shape{28, 37, 64},
                         Shape{7, 37, 64}, Shape{5, 7, 32}, Shape{3, 13, 9}}) {
     const Matrix a = random_matrix(s.m, s.k, 500 + s.m);

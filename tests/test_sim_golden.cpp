@@ -96,10 +96,10 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"ior-easy-write", "ior-easy-read", 0x0fbd8de0a534e1caull, 4338ull},
         GoldenCase{"ior-hard-read", "ior-easy-write", 0xfbc1910e718a9ff3ull, 11926ull},
         GoldenCase{"mdt-hard-write", "mdt-easy-write", 0x9baf5909afb0dfe2ull, 20291ull}),
-    [](const auto& info) {
-      std::string n = info.param.target;
-      if (info.param.background[0] != '\0') {
-        n += std::string("_vs_") + info.param.background;
+    [](const auto& test_info) {
+      std::string n = test_info.param.target;
+      if (test_info.param.background[0] != '\0') {
+        n += std::string("_vs_") + test_info.param.background;
       }
       for (auto& ch : n) {
         if (ch == '-') ch = '_';

@@ -2,6 +2,12 @@
 // matching, and degradation labelling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "qif/trace/labeler.hpp"
 #include "qif/trace/matcher.hpp"
 #include "qif/trace/op_record.hpp"
@@ -45,6 +51,76 @@ TEST(TraceLog, SortedForJobFiltersAndOrders) {
   EXPECT_EQ(sorted[0].op_index, 0);
   EXPECT_EQ(sorted[1].op_index, 1);
   EXPECT_EQ(sorted[2].rank, 1);
+}
+
+/// The definition sorted_for_job must meet: the job's records, stable-
+/// sorted by (rank, op_index).
+std::vector<OpRecord> stable_reference(const TraceLog& log, std::int32_t job) {
+  std::vector<OpRecord> out;
+  for (const OpRecord& r : log.records()) {
+    if (r.job == job) out.push_back(r);
+  }
+  std::stable_sort(out.begin(), out.end(), [](const OpRecord& a, const OpRecord& b) {
+    if (a.rank != b.rank) return a.rank < b.rank;
+    return a.op_index < b.op_index;
+  });
+  return out;
+}
+
+void expect_same_records(const std::vector<OpRecord>& got, const std::vector<OpRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].job, want[i].job) << i;
+    EXPECT_EQ(got[i].rank, want[i].rank) << i;
+    EXPECT_EQ(got[i].op_index, want[i].op_index) << i;
+    EXPECT_EQ(got[i].start, want[i].start) << i;  // tells equal keys apart
+  }
+}
+
+TEST(TraceLog, SortedForJobEqualsStableSortReference) {
+  std::mt19937_64 rng(7);
+  // Each trace: 3 jobs x `ranks` ranks x 40 ops, `start` numbering the
+  // records so equal (rank, op_index) keys stay distinguishable.
+  const auto make_trace = [](std::vector<OpRecord> ops) {
+    TraceLog log;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      ops[i].start = static_cast<sim::SimTime>(i);
+      log.record(std::move(ops[i]));
+    }
+    return log;
+  };
+  for (const int ranks : {1, 4, 33}) {
+    std::vector<OpRecord> ordered;
+    for (std::int32_t job = 0; job < 3; ++job) {
+      for (int r = 0; r < ranks; ++r) {
+        for (int k = 0; k < 40; ++k) ordered.push_back(make_op(job, r, k, 0, 1));
+      }
+    }
+    // Interleaved: ranks alternate, each rank's ops in order (what a
+    // completion-ordered simulator log looks like).
+    std::vector<OpRecord> interleaved;
+    for (int k = 0; k < 40; ++k) {
+      for (std::int32_t job = 0; job < 3; ++job) {
+        for (int r = ranks - 1; r >= 0; --r) interleaved.push_back(make_op(job, r, k, 0, 1));
+      }
+    }
+    std::vector<OpRecord> shuffled = ordered;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    // Duplicated keys and sparse/negative ranks exercise stability and the
+    // non-dense fallback.
+    std::vector<OpRecord> odd = shuffled;
+    odd.push_back(make_op(0, 0, 3, 0, 1));
+    odd.push_back(make_op(0, -5, 1, 0, 1));
+    odd.push_back(make_op(0, 1 << 30, 0, 0, 1));
+    odd.push_back(make_op(0, -5, 0, 0, 1));
+    for (const auto* ops : {&ordered, &interleaved, &shuffled, &odd}) {
+      const TraceLog log = make_trace(*ops);
+      for (std::int32_t job = 0; job < 4; ++job) {
+        SCOPED_TRACE("ranks " + std::to_string(ranks) + " job " + std::to_string(job));
+        expect_same_records(log.sorted_for_job(job), stable_reference(log, job));
+      }
+    }
+  }
 }
 
 TEST(TraceMatcher, PairsByRankAndIndex) {
@@ -169,6 +245,17 @@ struct BinCase {
   double degradation;
   int expected;
 };
+
+// Prints the case by value: without this gtest dumps the raw bytes of the
+// struct (heap pointers included), and the CTest names built from it would
+// change with every build.
+void PrintTo(const BinCase& c, std::ostream* os) {
+  *os << "thresholds {";
+  for (std::size_t i = 0; i < c.thresholds.size(); ++i) {
+    *os << (i == 0 ? "" : ", ") << c.thresholds[i];
+  }
+  *os << "} degradation " << c.degradation << " bin " << c.expected;
+}
 
 class LabelerBinTest : public ::testing::TestWithParam<BinCase> {};
 

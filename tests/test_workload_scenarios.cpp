@@ -84,8 +84,8 @@ TEST_P(WorkloadScenarioTest, ReplayIsBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadScenarioTest,
                          ::testing::ValuesIn(workloads::known_workloads()),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& test_info) {
+                           std::string name = test_info.param;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -32,8 +32,9 @@
 //                [--compress] [--stream-out DIR] --out data.{csv,qds}
 //       Build a labelled training dataset; the --out extension picks the
 //       format (.qds = native binary, anything else = interop CSV).
-//       --jobs N fans the campaign's scenario simulations across N worker
-//       threads (output is bit-identical to --jobs 1).  The `custom`
+//       --jobs N runs the family's campaigns as one task graph on N
+//       worker threads, --jobs 1 inline (output is bit-identical at every
+//       N; N must be a positive integer).  The `custom`
 //       family labels an arbitrary --workload W (any registry name,
 //       including trace:/ckpt:/qwp: forms) against the standard
 //       interference sweep.  --compress writes
@@ -48,9 +49,10 @@
 //       Train the kernel-based model on a dataset (80/20 split) and save
 //       the bundle; prints the held-out confusion matrix.  --jobs N
 //       partitions the training GEMMs across N worker threads (the model
-//       is bit-identical to --jobs 1).  A .qdm manifest streams its shards
-//       through the chunked ingestion path (same model bytes as in-RAM);
-//       --memory-budget caps resident shard pages in MiB.
+//       is bit-identical to --jobs 1; N must be a positive integer).  A
+//       .qdm manifest streams its shards through the chunked ingestion
+//       path (same model bytes as in-RAM); --memory-budget caps resident
+//       shard pages in MiB.
 //
 //   qif eval --data data.{csv,qds,qdm} --model model.txt
 //       Evaluate a saved bundle on a dataset.
@@ -94,6 +96,7 @@
 //       a synthetic bundle is generated (--arch kernel|attention,
 //       --classes C, --seed K) so smoke runs need no training step.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -144,6 +147,18 @@ struct Args {
   [[nodiscard]] int get_int(const std::string& key, int dflt) const {
     auto it = options.find(key);
     return it == options.end() ? dflt : std::atoi(it->second.c_str());
+  }
+  /// --jobs N: a worker count, 1 when absent.  Anything but a whole
+  /// positive integer is an error naming the option and the value.
+  [[nodiscard]] int get_jobs() const {
+    const std::string value = get("jobs", "1");
+    int jobs = 0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, jobs);
+    if (ec != std::errc{} || ptr != end || jobs < 1) {
+      throw std::invalid_argument("--jobs: expected a positive integer, got '" + value + "'");
+    }
+    return jobs;
   }
 };
 
@@ -527,27 +542,25 @@ int cmd_campaign(const Args& args) {
   opts.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   opts.verbose = true;
   if (args.get("bins", "2") == "2,5") opts.bin_thresholds = {2.0, 5.0};
-  const int jobs = args.get_int("jobs", 1);
+  const int jobs = args.get_jobs();
   opts.runner = exec::campaign_runner(jobs);
   const std::string faults_spec = args.get("faults", "");
   if (!faults_spec.empty()) opts.faults = pfs::faults::parse_fault_plan(faults_spec);
 
-  // --stream-out: route every campaign through the parallel runner's
-  // ordered case sink, so each case's windows hit a shard file the moment
-  // the case (and its declaration-order predecessors) complete.  Campaigns
-  // run one after another and the sink is serialized, so the single writer
-  // sees chunks in exactly the stitched dataset's row order.
+  // --stream-out: the task graph's ordered case sink writes each case's
+  // windows to a shard file the moment the case (and every case declared
+  // before it, across the family's campaigns) completes.  The sink is
+  // serialized and sees (campaign, case) order, so the single writer gets
+  // chunks in exactly the stitched dataset's row order.
   const std::string stream_dir = args.get("stream-out", "");
   std::optional<monitor::ShardStreamWriter> stream;
   if (!stream_dir.empty()) {
     std::filesystem::create_directories(stream_dir);
     stream.emplace(stream_dir + "/" + family, qds_options(args));
-    opts.runner = [&stream, jobs](const core::CampaignConfig& cc) {
-      return exec::ParallelCampaignRunner(cc, jobs)
-          .run([&stream](std::size_t, const core::CaseResult& cr) {
-            stream->add(cr.shard);
-          });
-    };
+    opts.runner = exec::campaign_runner(
+        jobs, [&stream](std::size_t, std::size_t, const core::CaseResult& cr) {
+          stream->add(cr.shard);
+        });
   }
 
   std::string custom_workload;
@@ -662,7 +675,7 @@ int cmd_train(const Args& args) {
   core::TrainingServerConfig cfg;
   cfg.n_classes = args.get_int("classes", 2);
   cfg.train.max_epochs = args.get_int("epochs", cfg.train.max_epochs);
-  cfg.train.jobs = args.get_int("jobs", 1);
+  cfg.train.jobs = args.get_jobs();
   core::TrainingServer server(cfg);
 
   ml::TrainResult tr;
