@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# Event-engine benchmark: scheduler micro-benchmarks + one campaign scenario
-# + the parallel-lane scaling curve.
+# Event-engine benchmark: scheduler micro-benchmarks + one campaign scenario.
 #
 # Builds the default configuration, runs the event-engine, FairLink, and
 # campaign benchmarks, and writes BENCH_sim.json:
@@ -11,17 +10,10 @@
 #                          engine's rates (std::function events + lazy
 #                          tombstone cancellation), recorded on the same
 #                          machine right before the rebuild landed.
-#   lane_scaling:          wall time of one large-cluster scenario
-#                          (1008 clients x 16 OSS x 8 OSTs = 128 OSTs,
-#                          1006 interference instances) at --lanes 1/2/4/8,
-#                          plus the host's core count.  Every lane count
-#                          must print the same trace fingerprint — the
-#                          curve is only honest if the partitioning changed
-#                          nothing — and the script fails if they diverge.
+#   host_cores:            `nproc` of the measuring host.
 #
 # Pass a different build dir as $1; pass --smoke (as $1 or $2) for a fast
-# CI-gate run that only checks the benchmarks still execute and that the
-# --lanes 4 fingerprint equals --lanes 1 on a small scenario.
+# CI-gate run that only checks the benchmarks still execute.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,15 +31,7 @@ OUT_JSON="BENCH_sim.json"
 RAW_JSON="${BUILD_DIR}/bench_sim_raw.json"
 
 cmake -B "${BUILD_DIR}" -S . > /dev/null
-cmake --build "${BUILD_DIR}" -j --target micro_benchmarks qif_cli > /dev/null
-
-QIF="./${BUILD_DIR}/tools/qif"
-
-# Prints the solo trace fingerprint of one run; arguments are appended to
-# `qif run`.
-lane_fp() {
-  "${QIF}" run "$@" | sed -n 's/^solo trace fp: //p'
-}
+cmake --build "${BUILD_DIR}" -j --target micro_benchmarks > /dev/null
 
 "./${BUILD_DIR}/bench/micro_benchmarks" \
   --benchmark_filter='BM_EventEngine|BM_FairLink|BM_EndToEndScenario|BM_CampaignScenario' \
@@ -56,42 +40,11 @@ lane_fp() {
   --benchmark_out_format=json
 
 if [[ "${SMOKE}" -eq 1 ]]; then
-  # Lane smoke: the partitioned engine must reproduce the sequential
-  # reference bit for bit (here: --lanes 4 vs --lanes 1 on a 4-OSS shape).
-  fp1="$(lane_fp ior-easy-write --scale 0.25 --topology 8x4x2 --lanes 1)"
-  fp4="$(lane_fp ior-easy-write --scale 0.25 --topology 8x4x2 --lanes 4)"
-  if [[ -z "${fp1}" || "${fp1}" != "${fp4}" ]]; then
-    echo "lane smoke FAILED: --lanes 4 fp '${fp4}' != --lanes 1 fp '${fp1}'" >&2
-    exit 1
-  fi
-  echo "lane smoke OK (--lanes 4 fp == --lanes 1 fp: ${fp1})"
   echo "smoke OK (not overwriting ${OUT_JSON})"
   exit 0
 fi
 
-# Lane scaling curve: >= 1000 clients and >= 128 OSTs, all data lanes
-# loaded by one interference instance per remaining client node.
-LANE_TOPO="1008x16x8"
-LANE_ARGS=(ior-easy-write --topology "${LANE_TOPO}" --noise ior-easy-write
-           --instances 1006 --scale 4)
-LANE_TSV="${BUILD_DIR}/bench_lanes.tsv"
-: > "${LANE_TSV}"
-lane_fp_ref=""
-for lanes in 1 2 4 8; do
-  start_ns=$(date +%s%N)
-  fp="$(lane_fp "${LANE_ARGS[@]}" --lanes "${lanes}")"
-  wall_ms=$(( (($(date +%s%N) - start_ns)) / 1000000 ))
-  if [[ -z "${lane_fp_ref}" ]]; then
-    lane_fp_ref="${fp}"
-  elif [[ "${fp}" != "${lane_fp_ref}" ]]; then
-    echo "lane curve FAILED: --lanes ${lanes} fp ${fp} != --lanes 1 fp ${lane_fp_ref}" >&2
-    exit 1
-  fi
-  echo "lanes ${lanes}: ${wall_ms} ms (fp ${fp})"
-  printf '%s\t%s\t%s\n' "${lanes}" "${wall_ms}" "${fp}" >> "${LANE_TSV}"
-done
-
-python3 - "${RAW_JSON}" "${OUT_JSON}" "${LANE_TSV}" "${LANE_TOPO}" "$(nproc)" <<'EOF'
+python3 - "${RAW_JSON}" "${OUT_JSON}" "$(nproc)" <<'EOF'
 import json, sys
 
 # Pre-rebuild engine rates (std::function heap events, lazy tombstone
@@ -129,37 +82,12 @@ for b in raw["benchmarks"]:
             # For latency benches, speedup = old_time / new_time.
             speedup[key] = round(PRE_REBUILD[name] / ms, 2)
 
-# Lane scaling curve measured by the shell loop above.  Recorded honestly:
-# wall times on a single-core host show no parallel speedup (the lane
-# workers time-slice one CPU and pay the barrier overhead); the curve's
-# verified claim on such hosts is the fingerprint equality, with the
-# speedup left for multi-core machines re-running this script.
-lanes = {}
-fingerprint = None
-for line in open(sys.argv[3]):
-    n, wall_ms, fp = line.split()
-    lanes[n] = int(wall_ms)
-    fingerprint = fp
-host_cores = int(sys.argv[5])
-lane_scaling = {
-    "topology_clients_x_oss_x_osts": sys.argv[4],
-    "host_cores": host_cores,
-    # Machine-readable honesty flag: consumers must not read a parallel
-    # speedup out of wall_ms_by_lanes when the host had one core.
-    "parallel_speedup_valid": host_cores > 1,
-    "wall_ms_by_lanes": lanes,
-    "trace_fingerprint": fingerprint,
-    "note": "all lane counts produced identical traces"
-    + ("; host has a single core, so no parallel speedup is expected or claimed"
-       if host_cores == 1 else ""),
-}
-
 out = {
     "engine_mitems_per_sec": engine,
     "fairlink_mitems_per_sec": fairlink,
     "scenario_ms": scenario,
     "speedup_vs_pre_rebuild": speedup,
-    "lane_scaling": lane_scaling,
+    "host_cores": int(sys.argv[3]),
 }
 json.dump(out, open(sys.argv[2], "w"), indent=2)
 print(json.dumps(out, indent=2))

@@ -2,9 +2,11 @@
 # Tier-1 gate: warning-free (-Werror) build + test suite, then the
 # exec/campaign tests again under ThreadSanitizer to catch data races in
 # the qif::exec thread pool, the campaign task graph, and the
-# thread-parallel GEMM path, an AddressSanitizer leg over the .qds
-# corruption-fuzz and reader tests so hostile bytes can never turn into a
-# silent out-of-bounds read, and the pipeline benchmark's own tests.
+# thread-parallel GEMM path, an AddressSanitizer + UndefinedBehaviorSanitizer
+# leg over the .qds corruption-fuzz and reader tests (so hostile bytes can
+# never turn into a silent out-of-bounds read) and over the campaign tests
+# (so a run stopped at its horizon frees every in-flight op), and the
+# pipeline benchmark's own tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +20,7 @@ cmake -B build-tsan -S . -DQIF_SANITIZE=thread
 cmake --build build-tsan -j --target test_exec test_core test_ml_gemm test_ml_trainer \
   test_sim_simulation test_sim_links test_export test_data_alloc \
   test_campaign_faults test_pfs_faults test_sim_property test_streaming \
-  test_sim_lanes test_serve_ring test_serve_service \
+  test_serve_ring test_serve_service \
   test_ctrl_bucket test_ctrl_controller test_campaign_mitigate
 ./build-tsan/tests/test_exec
 ./build-tsan/tests/test_core --gtest_filter='Campaign.*'
@@ -41,11 +43,6 @@ cmake --build build-tsan -j --target test_exec test_core test_ml_gemm test_ml_tr
 ./build-tsan/tests/test_campaign_faults
 ./build-tsan/tests/test_pfs_faults
 ./build-tsan/tests/test_sim_property
-# Parallel event lanes: N engines on worker threads synchronized by
-# barrier windows, cross-lane messages through per-(src,dst) outboxes —
-# the whole lane data plane must be race-free under TSan while the tests
-# assert bit-identity against the lanes=1 sequential reference.
-./build-tsan/tests/test_sim_lanes
 # Serving layer: the MPSC ring (multi-producer ticket CAS + per-cell seq)
 # and the batcher/hot-swap path (producers spinning on completion flags
 # while the batcher thread swaps models) are the two lock-free surfaces —
@@ -61,26 +58,31 @@ cmake --build build-tsan -j --target test_exec test_core test_ml_gemm test_ml_tr
 ./build-tsan/tests/test_ctrl_controller
 ./build-tsan/tests/test_campaign_mitigate
 
-echo "=== tier-1: .qds/.qwp corruption fuzz under ASan ==="
+echo "=== tier-1: corruption fuzz and campaign leaks under ASan+UBSan ==="
+# QIF_SANITIZE=address builds with ASan, LeakSanitizer and UBSan (any UB
+# report aborts the test).
 # test_qds_fuzz covers the buffered reader, the mmap path (QdsMmapFuzz),
 # the .qdm manifest/shard files (QdmFuzz), and the qlz codec (QlzFuzz);
 # test_streaming exercises the mmap'ed shard lifecycle end to end.
 # test_qwp flips/truncates every byte of a serialized workload program and
 # test_replay parses crafted DXT dumps — the two text-IR parsers must turn
 # hostile bytes into clean errors, never out-of-bounds reads.
+# test_exec and test_campaign_faults stop scenarios at their horizon with
+# data ops still in flight; LeakSanitizer checks that each is freed.
 cmake -B build-asan -S . -DQIF_SANITIZE=address
 cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
-  test_qwp test_replay
+  test_qwp test_replay test_exec test_campaign_faults
 ./build-asan/tests/test_qds_fuzz
 ./build-asan/tests/test_export
 ./build-asan/tests/test_streaming
 ./build-asan/tests/test_qwp
 ./build-asan/tests/test_replay
+./build-asan/tests/test_exec
+./build-asan/tests/test_campaign_faults
 
 echo "=== tier-1: benchmark smoke ==="
-# Includes the lane smoke: `qif run --lanes 4` must print the same trace
-# fingerprint as `--lanes 1` (the lane engine's bit-identity contract,
-# asserted end to end through the CLI).
+# Engine smoke: the event-engine, FairLink and scenario micro-benchmarks
+# must still run.
 ./scripts/bench_sim.sh --smoke
 # Serving smoke: `qif serve verify` replays every batched reply against a
 # single-row sync prediction and must report zero mismatches for both

@@ -1,8 +1,6 @@
 #include "qif/core/scenario.hpp"
 
-#include <cassert>
-#include <stdexcept>
-#include <string>
+#include <optional>
 
 #include "qif/monitor/client_monitor.hpp"
 #include "qif/monitor/server_monitor.hpp"
@@ -41,39 +39,12 @@ pfs::ClusterConfig testbed_cluster_config(std::uint64_t seed) {
 constexpr sim::SimDuration kDefaultFaultRpcDeadline = 5 * sim::kSecond;
 
 ScenarioResult run_scenario(const ScenarioConfig& config) {
-  if (config.lanes < 0) {
-    throw std::invalid_argument("scenario: lanes must be >= 0 (got " +
-                                std::to_string(config.lanes) +
-                                "; 0 = classic single engine)");
-  }
-  const bool lane_mode = config.lanes >= 1;
   pfs::ClusterConfig cluster_config = config.cluster;
   if (!config.faults.empty() && cluster_config.client.rpc_deadline <= 0) {
     cluster_config.client.rpc_deadline = kDefaultFaultRpcDeadline;
   }
-  // The lookahead is the fabric propagation latency: every cross-lane
-  // interaction rides at least one network hop, except the zero-delay
-  // note_size edge which the lane group's stage ordering covers.
-  std::optional<sim::Simulation> simulation;
-  std::optional<sim::LaneGroup> lane_group;
-  std::optional<pfs::Cluster> cluster_storage;
-  if (lane_mode) {
-    lane_group.emplace(config.lanes, cluster_config.network.latency);
-    cluster_storage.emplace(*lane_group, cluster_config);
-  } else {
-    simulation.emplace();
-    cluster_storage.emplace(*simulation, cluster_config);
-  }
-  pfs::Cluster& cluster = *cluster_storage;
-  const auto now_fn = [&]() {
-    return lane_mode ? lane_group->now() : simulation->now();
-  };
-  const auto run_until = [&](sim::SimTime until) {
-    return lane_mode ? lane_group->run_until(until) : simulation->run_until(until);
-  };
-  const auto pending = [&]() {
-    return lane_mode ? lane_group->pending() : simulation->pending();
-  };
+  sim::Simulation simulation;
+  pfs::Cluster cluster(simulation, cluster_config);
 
   // Arm the fault plan before any workload starts so episodes starting at
   // t=0 are honoured.  The injector seeds its own RNG stream from the
@@ -99,14 +70,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   if (config.monitors) {
     client_mon.emplace(/*job=*/0, config.window, cluster.n_servers(),
                        cluster.mdt_server_index());
-    if (!lane_mode) {
-      // Classic mode streams records into the monitor as they complete; in
-      // lane mode the per-lane shards are merged post-run and replayed
-      // below (observe() is a pure per-record fold, so replaying the merged
-      // trace yields the same aggregates).
-      cluster.trace_log().set_observer(
-          [&m = *client_mon](const trace::OpRecord& rec) { m.observe(rec); });
-    }
+    cluster.trace_log().set_observer(
+        [&m = *client_mon](const trace::OpRecord& rec) { m.observe(rec); });
     server_mon.emplace(cluster, config.window);
     server_mon->start();
   }
@@ -124,38 +89,26 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
 
   ScenarioResult result;
-  // The completion flag is written on the target job's own engine (a worker
-  // thread in lane mode) and read by this loop between windows; the lane
-  // group's barrier orders those accesses.  The completion *time* comes
-  // from the job itself, which stamps it on its own lane's clock.
   target_job.start([&] { result.target_finished = true; });
 
   // Step in window-sized chunks so we stop promptly once the target is
   // done; interference loops would otherwise keep the event queue alive
   // forever.
-  while (!result.target_finished && now_fn() < config.horizon) {
-    const sim::SimTime next = now_fn() + config.window;
-    const std::uint64_t ran = run_until(next);
-    if (ran == 0 && pending() == 0) break;  // everything drained
+  while (!result.target_finished && simulation.now() < config.horizon) {
+    const sim::SimTime next = simulation.now() + config.window;
+    const std::uint64_t ran = simulation.run_until(next);
+    if (ran == 0 && simulation.pending() == 0) break;  // everything drained
   }
   // Let the server monitor close the final (partial) window's samples.
   if (server_mon.has_value()) {
-    run_until(((now_fn() / config.window) + 1) * config.window);
+    simulation.run_until(((simulation.now() / config.window) + 1) * config.window);
     server_mon->stop();
   }
 
   result.target_completion = target_job.completion_time();
   result.target_body_start = target_job.body_start_time();
-  result.events_executed =
-      lane_mode ? lane_group->events_executed() : simulation->events_executed();
-  if (lane_mode) {
-    result.trace = cluster.merged_trace();
-    if (client_mon.has_value()) {
-      for (const trace::OpRecord& rec : result.trace.records()) client_mon->observe(rec);
-    }
-  } else {
-    result.trace = cluster.trace_log();
-  }
+  result.events_executed = simulation.events_executed();
+  result.trace = cluster.trace_log();
   if (mitigator.has_value()) {
     result.ctrl = mitigator->report(result.trace, config.window);
   }

@@ -44,28 +44,12 @@ struct ScenarioConfig {
   /// arm the injector and (unless the cluster config already sets one)
   /// enable a default client RPC deadline so stalls surface as timeouts.
   pfs::faults::FaultPlan faults;
-  /// Parallel event lanes.  0 (default) runs the classic single-engine
-  /// path — byte-identical to every pre-lane build, which is what the
-  /// golden-trace pins lock down.  N >= 1 partitions the cluster into N
-  /// data lanes (clients and OSS groups in contiguous blocks) plus a
-  /// dedicated metadata lane, each with its own event engine, synchronized
-  /// by conservative barrier windows with the fabric latency as lookahead
-  /// (see sim/lanes.hpp).  Within the lane family traces, features,
-  /// completion times, and events_executed are bit-identical for every N
-  /// (lanes=1 is the sequential reference; it runs on the driver thread).
-  /// The lane family's same-instant cross-entity tie-break is
-  /// entity-ordered (see sim/simulation.hpp), so it is internally
-  /// consistent but intentionally not byte-identical to the classic
-  /// engine.  Throws std::invalid_argument for lanes < 0 or lanes > n_oss,
-  /// and for job specs whose nodes would span lanes.
-  int lanes = 0;
   /// Closed-loop interference mitigation (qif::ctrl).  Empty policy (the
   /// default) constructs nothing — no admission gates, no controller ticks,
   /// no extra RNG streams — so unmitigated runs stay byte-identical to
   /// pre-mitigation builds.  A non-empty policy arms one controller per
   /// gated client (scope decides whether job 0 is gated) with decision
-  /// epochs on the simulation clock; mitigated traces are bit-identical at
-  /// every --lanes count.
+  /// epochs on the simulation clock.
   ctrl::MitigationConfig mitigation;
 };
 

@@ -22,11 +22,10 @@
 //    (saturated) throughput curve the walk settles at the least
 //    concurrency that sustains the optimum.
 //
-// Determinism: a controller's state is touched only from its client's own
-// engine (acquire/on_chunk_complete run inside the client's events; the
-// epoch tick is scheduled under the client's entity context), and its RNG
-// stream is derived from stable ids — so mitigated traces are bit-identical
-// across every --jobs and --lanes partition.
+// Determinism: a controller's state is touched only from inside the run's
+// own events (acquire/on_chunk_complete run inside the client's events; the
+// epoch tick is a simulation event), and its RNG stream is derived from
+// stable ids — so mitigated traces are bit-identical at every --jobs count.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +92,7 @@ struct MitigationConfig {
 
 /// Per-OSS-port interference flags published by an external predictor
 /// (the OnlinePredictor bridge).  When attached, it replaces every
-/// controller's self-signal.  Classic (single-engine) mode only: the board
-/// is shared mutable state, which lanes would race on.
+/// controller's self-signal.
 struct FlagBoard {
   std::vector<std::uint8_t> flags;  ///< one per OSS port, 1 = interference
   [[nodiscard]] bool flagged(int port) const {

@@ -8,15 +8,11 @@
 namespace qif::ctrl {
 namespace {
 
-/// Self-rescheduling decision tick on the client's engine.  The tick event
-/// is minted under the client's entity context (schedule_after_ctx), so in
-/// lane mode its key — and the key of everything the decision causes — is
-/// partition-independent.
-void schedule_tick(sim::Simulation& s, std::uint32_t ctx, Controller* c,
-                   sim::SimDuration epoch) {
-  s.schedule_after_ctx(epoch, ctx, [&s, ctx, c, epoch] {
+/// Self-rescheduling decision tick on the client's engine.
+void schedule_tick(sim::Simulation& s, Controller* c, sim::SimDuration epoch) {
+  s.schedule_after(epoch, [&s, c, epoch] {
     c->on_epoch(s.now());
-    schedule_tick(s, ctx, c, epoch);
+    schedule_tick(s, c, epoch);
   });
 }
 
@@ -44,7 +40,7 @@ Mitigator::~Mitigator() { cluster_.set_gate_factory(nullptr); }
 pfs::AdmissionGate* Mitigator::attach(pfs::PfsClient& client) {
   sim::Simulation& s = client.sim();
   // Per-client exploration stream, derived from stable ids — identical for
-  // every --jobs / --lanes partition of the same scenario.
+  // every --jobs count of the same scenario.
   const std::uint64_t seed = sim::Rng::derive_seed(
       cluster_.config().seed, "ctrl/n" + std::to_string(client.node()) + "/r" +
                                   std::to_string(client.rank()) + "/j" +
@@ -56,24 +52,11 @@ pfs::AdmissionGate* Mitigator::attach(pfs::PfsClient& client) {
   if (board_active_) slot.controller->set_flag_board(&board_);
   Controller* c = slot.controller.get();
   slots_.push_back(std::move(slot));
-  const std::uint32_t ctx = cluster_.ctx_of_node(client.node());
-  // Setup-time scheduling: the first tick's key must be minted under the
-  // client's entity counter (schedule_after_ctx only sets the *execution*
-  // context; the mint uses the engine's current one — the JobInstance
-  // kickoff pattern).  Later ticks reschedule from inside the tick event,
-  // where the executing context is already the client's.
-  if (cluster_.lane_mode()) s.set_context(ctx);
-  schedule_tick(s, ctx, c, config_.epoch);
+  schedule_tick(s, c, config_.epoch);
   return c;
 }
 
 void Mitigator::set_external_flags(std::vector<std::uint8_t> per_port_flags) {
-  if (cluster_.lane_mode()) {
-    throw std::logic_error(
-        "Mitigator::set_external_flags: the shared flag board is classic-mode "
-        "only (lane partitions would race on it); lane runs use the per-client "
-        "self-signal");
-  }
   board_.flags = std::move(per_port_flags);
   if (!board_active_) {
     board_active_ = true;

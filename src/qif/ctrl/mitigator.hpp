@@ -5,9 +5,7 @@
 // gate factory on the cluster, so every client created by the workload
 // layer gets its own Controller (scope decides whether the monitored job 0
 // is gated too), and schedules each controller's decision-epoch tick on
-// the owning client's engine under the client's entity context — in lane
-// mode the whole control loop therefore lives on the client's lane, and
-// mitigated traces stay bit-identical at every --lanes count.
+// the simulation clock.
 //
 // An *empty* config constructs nothing: no factory, no controllers, no
 // tick events, no RNG draws — a mitigation-off run is byte-identical to a
@@ -67,8 +65,7 @@ class Mitigator {
 
   /// Publishes external per-OSS-port interference flags (the
   /// OnlinePredictor bridge) to every controller, replacing their
-  /// self-signals.  Classic (single-engine) mode only — the board is
-  /// shared mutable state that lane partitions would race on.
+  /// self-signals.
   void set_external_flags(std::vector<std::uint8_t> per_port_flags);
 
   /// Aggregates every controller's epoch log into per-window rows and

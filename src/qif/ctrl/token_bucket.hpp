@@ -7,7 +7,7 @@
 // admitted over any span equals floor(rate * elapsed / 1s) exactly, no
 // matter how the span is partitioned into refill calls.  That exactness is
 // what the controller's determinism contract rides on: a mitigated run must
-// replay bit-identically at every --jobs / --lanes count, which rules out
+// replay bit-identically at every --jobs count, which rules out
 // floating-point refill accumulation (whose rounding depends on call
 // cadence).
 #pragma once

@@ -17,80 +17,12 @@ ServerMonitor::ServerMonitor(pfs::Cluster& cluster, sim::SimDuration window,
   for (int s = 0; s < cluster_.n_servers(); ++s) {
     prev_counters_[static_cast<std::size_t>(s)] = cluster_.server_counters(s);
   }
-  if (cluster_.lane_mode()) {
-    // One sampling chain per server, on the engine of the lane that owns
-    // it.  A server's counters are thus only read from the lane whose
-    // events mutate them; prev_counters_/last_sample_ are shared vectors
-    // but every slot belongs to exactly one lane.  Each chain ticks under
-    // its server's entity context so the tick keys — and the tick-vs-
-    // workload interleaving at exact sample instants — do not depend on
-    // the partition.
-    for (int s = 0; s < cluster_.n_servers(); ++s) {
-      auto ss = std::make_unique<ServerSampler>();
-      ss->server = s;
-      const bool is_ost = s < cluster_.n_osts();
-      ss->ctx = cluster_.ctx_of_port(is_ost ? cluster_.oss_port(s) : cluster_.mds_port());
-      ss->sim = is_ost ? &cluster_.sim_for_ost(s) : &cluster_.lanes()->meta();
-      ServerSampler* raw = ss.get();
-      ss->sampler = std::make_unique<sim::Sampler>(
-          *ss->sim, sample_period_,
-          [this, raw](std::uint64_t t) { on_server_tick(*raw, t); });
-      server_samplers_.push_back(std::move(ss));
-    }
-  } else {
-    sampler_ = std::make_unique<sim::Sampler>(cluster_.sim(), sample_period_,
-                                              [this](std::uint64_t t) { on_tick(t); });
-  }
+  sampler_ = std::make_unique<sim::Sampler>(cluster_.sim(), sample_period_,
+                                            [this](std::uint64_t t) { on_tick(t); });
 }
 
-void ServerMonitor::start() {
-  if (sampler_) sampler_->start();
-  for (auto& ss : server_samplers_) {
-    // Setup-time scheduling: the chain's first tick must be minted under
-    // the server's entity context so its key is partition-independent.
-    ss->sim->set_context(ss->ctx);
-    ss->sampler->start();
-  }
-}
-
-void ServerMonitor::stop() {
-  if (sampler_) sampler_->stop();
-  // Merge every server's private window aggregates into the shared map (the
-  // run is over; nothing samples concurrently anymore).  Idempotent: the
-  // per-server maps are drained by the merge.
-  for (auto& ss : server_samplers_) {
-    ss->sampler->stop();
-    for (auto& [w, cell] : ss->windows) {
-      auto it = windows_.find(w);
-      if (it == windows_.end()) {
-        it = windows_
-                 .emplace(w, std::vector<ServerWindow>(
-                                 static_cast<std::size_t>(cluster_.n_servers())))
-                 .first;
-      }
-      it->second[static_cast<std::size_t>(ss->server)] = cell;
-    }
-    ss->windows.clear();
-    ss->cached_window = -1;
-    ss->cached_cell = nullptr;
-  }
-}
-
-void ServerMonitor::sample_into(int server, ServerWindow& cell) {
-  const auto cur = cluster_.server_counters(server);
-  auto& prev = prev_counters_[static_cast<std::size_t>(server)];
-  auto& agg = cell.metrics;
-  for (int m = 0; m < MetricSchema::kRawServerMetrics; ++m) {
-    double delta = static_cast<double>(cur[static_cast<std::size_t>(m)] -
-                                       prev[static_cast<std::size_t>(m)]);
-    // Tick-valued metrics are reported in seconds so feature magnitudes
-    // stay comparable across the vector.
-    if (m >= 7) delta *= 1e-9;
-    agg[static_cast<std::size_t>(m)].add(delta);
-    last_sample_[static_cast<std::size_t>(server)][static_cast<std::size_t>(m)] = delta;
-  }
-  prev = cur;
-}
+void ServerMonitor::start() { sampler_->start(); }
+void ServerMonitor::stop() { sampler_->stop(); }
 
 void ServerMonitor::on_tick(std::uint64_t tick) {
   // Sample at t = k * period closes the second (k-1)*period .. k*period,
@@ -108,18 +40,20 @@ void ServerMonitor::on_tick(std::uint64_t tick) {
     cached_cells_ = &it->second;
   }
   for (int s = 0; s < cluster_.n_servers(); ++s) {
-    sample_into(s, (*cached_cells_)[static_cast<std::size_t>(s)]);
+    const auto cur = cluster_.server_counters(s);
+    auto& prev = prev_counters_[static_cast<std::size_t>(s)];
+    auto& agg = (*cached_cells_)[static_cast<std::size_t>(s)].metrics;
+    for (int m = 0; m < MetricSchema::kRawServerMetrics; ++m) {
+      double delta = static_cast<double>(cur[static_cast<std::size_t>(m)] -
+                                         prev[static_cast<std::size_t>(m)]);
+      // Tick-valued metrics are reported in seconds so feature magnitudes
+      // stay comparable across the vector.
+      if (m >= 7) delta *= 1e-9;
+      agg[static_cast<std::size_t>(m)].add(delta);
+      last_sample_[static_cast<std::size_t>(s)][static_cast<std::size_t>(m)] = delta;
+    }
+    prev = cur;
   }
-}
-
-void ServerMonitor::on_server_tick(ServerSampler& ss, std::uint64_t tick) {
-  const std::int64_t w =
-      static_cast<std::int64_t>(tick - 1) / samples_per_window_;
-  if (w != ss.cached_window || ss.cached_cell == nullptr) {
-    ss.cached_window = w;
-    ss.cached_cell = &ss.windows[w];
-  }
-  sample_into(ss.server, *ss.cached_cell);
 }
 
 const std::vector<ServerWindow>* ServerMonitor::window_cells(

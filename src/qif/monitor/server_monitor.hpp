@@ -31,14 +31,6 @@ class ServerMonitor {
  public:
   /// Samples every `sample_period` (1 s in the paper) and closes a window
   /// every `window` (must be a multiple of the sample period).
-  ///
-  /// On a lane-partitioned cluster each *server* gets its own sampling
-  /// chain on the engine of the lane that owns it — a server's counters are
-  /// only ever read from the lane that mutates them — and the per-server
-  /// window aggregates are merged into the shared map at stop().  The
-  /// chains tick under the server's entity context (simulation.hpp), so
-  /// their event keys, and therefore how ticks interleave with same-instant
-  /// workload events, are identical for every lane count.
   ServerMonitor(pfs::Cluster& cluster, sim::SimDuration window,
                 sim::SimDuration sample_period = sim::kSecond);
 
@@ -71,29 +63,13 @@ class ServerMonitor {
       int server) const;
 
  private:
-  /// One server's sampling chain (lane mode only), on the engine of the
-  /// lane owning the server, filling a private per-server window map.
-  struct ServerSampler {
-    int server = 0;
-    std::uint32_t ctx = 0;  // the server's entity context
-    sim::Simulation* sim = nullptr;
-    std::unique_ptr<sim::Sampler> sampler;
-    std::map<std::int64_t, ServerWindow> windows;
-    std::int64_t cached_window = -1;
-    ServerWindow* cached_cell = nullptr;
-  };
-
   void on_tick(std::uint64_t tick);
-  void on_server_tick(ServerSampler& ss, std::uint64_t tick);
-  /// One server's per-second delta folded into its window cell.
-  void sample_into(int server, ServerWindow& cell);
 
   pfs::Cluster& cluster_;
   sim::SimDuration window_;
   sim::SimDuration sample_period_;
   std::int64_t samples_per_window_;
-  std::unique_ptr<sim::Sampler> sampler_;       // classic mode
-  std::vector<std::unique_ptr<ServerSampler>> server_samplers_;  // lane mode
+  std::unique_ptr<sim::Sampler> sampler_;
 
   std::vector<std::array<std::int64_t, pfs::Cluster::kNumRawCounters>> prev_counters_;
   std::vector<std::array<double, MetricSchema::kRawServerMetrics>> last_sample_;

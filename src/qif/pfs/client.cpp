@@ -11,7 +11,7 @@
 namespace qif::pfs {
 
 PfsClient::PfsClient(Cluster& cluster, NodeId node, Rank rank, std::int32_t job)
-    : cluster_(cluster), sim_(cluster.sim_for_node(node)), node_(node), rank_(rank),
+    : cluster_(cluster), sim_(cluster.sim()), node_(node), rank_(rank),
       job_(job),
       params_(cluster.config().client),
       retry_rng_(sim::Rng::derive_seed(
@@ -44,7 +44,7 @@ void PfsClient::emit(OpType type, FileId file, std::int64_t offset, std::int64_t
     total_timeouts_ += faults->timeouts;
     total_failed_ += faults->failed ? 1 : 0;
   }
-  cluster_.record_client_op(node_, std::move(rec));
+  cluster_.trace_log().record(std::move(rec));
 }
 
 // ---------------------------------------------------------------------------
@@ -57,13 +57,11 @@ void PfsClient::emit(OpType type, FileId file, std::int64_t offset, std::int64_t
 // EIO.  Responses from superseded attempts are recognised by attempt number
 // and dropped — at-least-once semantics, like a real RPC resend (server
 // work is idempotent here).  Each attempt carries its own copy of the serve
-// closure: the server side of an in-flight attempt then touches no state the
-// client side ever writes, which is what lets the attempt cross an event-lane
-// boundary — a straggler arriving after the op settles simply re-executes
-// idempotent server work, as a real resent RPC would.  With rpc_deadline ==
-// 0 none of this exists:
-// the RPC goes straight to the fabric, scheduling no timer and drawing no
-// randomness, so healthy runs replay the exact pre-fault event sequence.
+// closure, so a straggler arriving after the op settles (which clears
+// op->serve) simply re-executes idempotent server work, as a real resent RPC
+// would.  With rpc_deadline == 0 none of this exists: the RPC goes straight
+// to the fabric, scheduling no timer and drawing no randomness, so healthy
+// runs replay the exact pre-fault event sequence.
 // ---------------------------------------------------------------------------
 
 void PfsClient::rpc_faultable(int server_port, std::int64_t request_payload,
@@ -116,9 +114,8 @@ void PfsClient::issue_attempt(std::shared_ptr<RetryOp> op) {
   });
   cluster_.net().rpc(
       node_, op->server_port, op->request_payload, op->response_payload,
-      // Value copy per attempt: the server side must not read RetryOp fields
-      // the client side writes (settling clears op->serve), or a cross-lane
-      // straggler would race the settle.
+      // Value copy per attempt: settling clears op->serve, and a straggler
+      // still in flight must keep its own copy.
       [serve = op->serve](std::function<void()> done) { serve(std::move(done)); },
       [this, op, my_attempt] {
         if (op->done || op->attempt != my_attempt) return;  // stale response
@@ -359,7 +356,7 @@ void PfsClient::data_op(bool is_write, const FileHandle& fh, std::int64_t offset
                  targets = std::move(targets), cb = std::move(cb)]() {
     // A failed op never reached the server coherently; don't grow the file.
     if (is_write && !(stats && stats->failed)) {
-      cluster_.post_note_size(node_, fh.file, offset + len);
+      cluster_.mdt().note_size(fh.file, offset + len);
     }
     emit(is_write ? OpType::kWrite : OpType::kRead, fh.file, offset, len, start, targets,
          stats.get());
@@ -367,7 +364,11 @@ void PfsClient::data_op(bool is_write, const FileHandle& fh, std::int64_t offset
   };
 
   // Issue chunks with at most max_rpcs_in_flight outstanding.  `pump` is
-  // stored in a shared_ptr so completion callbacks can re-enter it.  With an
+  // stored in a shared_ptr so completion callbacks can re-enter it; the pump
+  // itself holds only a weak reference, while every outstanding chunk
+  // completion and the pending throttle wake-up hold strong ones, so an op
+  // still in flight when the run stops is freed with the engine's pending
+  // events instead of leaking through a self-reference cycle.  With an
   // admission gate the pump additionally (a) clamps the window to the gate's
   // concurrency cap, re-read before every chunk so a decision epoch takes
   // effect mid-op, and (b) asks the gate before issuing each chunk —
@@ -376,7 +377,9 @@ void PfsClient::data_op(bool is_write, const FileHandle& fh, std::int64_t offset
   // retry.  A refused ask parks the pump behind one wake-up event (single
   // waiter per op); ungated clients take the exact pre-gate code path.
   auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, is_write, chunks, state, stats, pump, finish = std::move(finish)]() {
+  *pump = [this, is_write, chunks, state, stats, weak = std::weak_ptr(pump),
+           finish = std::move(finish)]() {
+    const auto self = weak.lock();  // the caller holds a strong reference
     while (state->next < chunks->size()) {
       std::size_t cap = static_cast<std::size_t>(params_.max_rpcs_in_flight);
       if (gate_ != nullptr) {
@@ -391,10 +394,10 @@ void PfsClient::data_op(bool is_write, const FileHandle& fh, std::int64_t offset
         if (wait > 0) {
           if (!state->throttle_wait) {
             state->throttle_wait = true;
-            sim_.schedule_after(wait, [state, pump] {
+            sim_.schedule_after(wait, [state, self] {
               state->throttle_wait = false;
               // The op may have drained (EIO path) while we slept.
-              if (*pump) (*pump)();
+              if (*self) (*self)();
             });
           }
           return;
@@ -414,7 +417,7 @@ void PfsClient::data_op(bool is_write, const FileHandle& fh, std::int64_t offset
               cluster_.ost(c.ost).read(c.disk_offset, c.len, std::move(done));
             }
           },
-          [this, state, pump, finish, port, len = c.len, issued](bool) {
+          [this, state, self, finish, port, len = c.len, issued](bool) {
             // ok=false already marked stats->failed; the op still drains its
             // remaining chunks so the completion count stays exact.
             if (gate_ != nullptr) {
@@ -424,10 +427,9 @@ void PfsClient::data_op(bool is_write, const FileHandle& fh, std::int64_t offset
             --state->remaining;
             if (state->remaining == 0) {
               finish();
-              // Break the pump's self-reference cycle so the op state frees.
-              *pump = nullptr;
+              *self = nullptr;  // drained: a pending wake-up finds no pump
             } else {
-              (*pump)();
+              (*self)();
             }
           },
           stats);

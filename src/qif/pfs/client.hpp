@@ -86,9 +86,8 @@ class PfsClient {
   void write(const FileHandle& fh, std::int64_t offset, std::int64_t len, DataCallback cb);
 
   [[nodiscard]] Cluster& cluster() { return cluster_; }
-  /// The engine this client's node runs on — the single engine in classic
-  /// mode, the node's data lane in lane mode.  Workload code must schedule
-  /// its think-time/phase events here, never on another lane's engine.
+  /// The cluster's engine; workload code schedules think-time/phase events
+  /// here.
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
   [[nodiscard]] NodeId node() const { return node_; }
   [[nodiscard]] Rank rank() const { return rank_; }
@@ -164,7 +163,7 @@ class PfsClient {
   }
 
   Cluster& cluster_;
-  sim::Simulation& sim_;  ///< the engine owning this client's node
+  sim::Simulation& sim_;  ///< the cluster's engine
   NodeId node_;
   Rank rank_;
   std::int32_t job_;

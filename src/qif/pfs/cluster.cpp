@@ -1,64 +1,24 @@
 #include "qif/pfs/cluster.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "qif/pfs/admission.hpp"
-#include <stdexcept>
-#include <string>
-#include <utility>
 
 namespace qif::pfs {
 
 Cluster::Cluster(sim::Simulation& sim, const ClusterConfig& config)
-    : single_sim_(&sim), config_(config) {
-  build_servers(config_);
-  net_ = std::make_unique<NetworkFabric>(sim, config_.network, config_.n_client_nodes,
-                                         config_.n_oss + 1);
-}
-
-Cluster::Cluster(sim::LaneGroup& lanes, const ClusterConfig& config)
-    : lanes_(&lanes), config_(config) {
-  const int L = lanes.data_lanes();
-  if (L < 1) {
-    throw std::invalid_argument("lane partition: need at least 1 data lane");
-  }
-  if (L > config_.n_oss) {
-    throw std::invalid_argument("lane partition: " + std::to_string(L) +
-                                " data lanes but only " + std::to_string(config_.n_oss) +
-                                " OSS groups (each data lane must own >= 1 OSS port)");
-  }
-  node_lane_.resize(static_cast<std::size_t>(config_.n_client_nodes));
-  for (int n = 0; n < config_.n_client_nodes; ++n) {
-    node_lane_[static_cast<std::size_t>(n)] = n * L / config_.n_client_nodes;
-  }
-  port_lane_.resize(static_cast<std::size_t>(config_.n_oss) + 1);
-  for (int p = 0; p < config_.n_oss; ++p) {
-    port_lane_[static_cast<std::size_t>(p)] = p * L / config_.n_oss;
-  }
-  port_lane_[static_cast<std::size_t>(config_.n_oss)] = lanes.meta_lane();
-  shards_.resize(static_cast<std::size_t>(L));
-  build_servers(config_);
-  net_ = std::make_unique<NetworkFabric>(lanes, config_.network, node_lane_, port_lane_);
-}
-
-void Cluster::build_servers(const ClusterConfig& config) {
-  const int n_osts = config.n_oss * config.osts_per_oss;
+    : sim_(sim), config_(config) {
+  const int n_osts = config_.n_oss * config_.osts_per_oss;
   osts_.reserve(static_cast<std::size_t>(n_osts));
   for (int i = 0; i < n_osts; ++i) {
-    const int port = oss_port(static_cast<OstId>(i));
-    sim::Simulation& s =
-        lanes_ != nullptr ? lanes_->lane(lane_of_port(port)) : *single_sim_;
-    // Anything a server schedules at construction time must mint under the
-    // server's own entity context so the keys are partition-independent.
-    if (lanes_ != nullptr) s.set_context(ctx_of_port(port));
-    osts_.push_back(std::make_unique<Ost>(s, static_cast<OstId>(i), config.ost_disk,
-                                          config.writeback, config.seed,
-                                          config.read_cache));
+    osts_.push_back(std::make_unique<Ost>(sim_, static_cast<OstId>(i), config_.ost_disk,
+                                          config_.writeback, config_.seed,
+                                          config_.read_cache));
   }
-  sim::Simulation& mdt_sim = lanes_ != nullptr ? lanes_->meta() : *single_sim_;
-  if (lanes_ != nullptr) mdt_sim.set_context(ctx_of_port(mds_port()));
-  mdt_ = std::make_unique<MdtServer>(mdt_sim, config.mdt, config.mdt_disk, config.seed,
-                                     n_osts, config.stripe_size);
+  mdt_ = std::make_unique<MdtServer>(sim_, config_.mdt, config_.mdt_disk, config_.seed,
+                                     n_osts, config_.stripe_size);
+  net_ = std::make_unique<NetworkFabric>(sim_, config_.network, config_.n_client_nodes,
+                                         config_.n_oss + 1);
 }
 
 std::array<std::int64_t, Cluster::kNumRawCounters> Cluster::server_counters(int server) const {
@@ -82,65 +42,6 @@ std::array<std::int64_t, Cluster::kNumRawCounters> Cluster::server_counters(int 
            d.weighted_ticks + m.queue_wait_total};
   }
   return out;
-}
-
-void Cluster::record_client_op(NodeId node, trace::OpRecord rec) {
-  if (lanes_ == nullptr) {
-    trace_log_.record(std::move(rec));
-    return;
-  }
-  TraceShard& sh = shards_[static_cast<std::size_t>(lane_of_node(node))];
-  const sim::EventKey key = sim_for_node(node).current_key();
-  std::uint32_t idx = 0;
-  if (!sh.keys.empty() && sh.keys.back().key == key) idx = sh.keys.back().idx + 1;
-  sh.keys.push_back(ShardKey{key, idx});
-  sh.log.record(std::move(rec));
-}
-
-trace::TraceLog Cluster::merged_trace() const {
-  trace::TraceLog merged;
-  if (lanes_ == nullptr) {
-    merged.reserve(trace_log_.size());
-    for (const auto& rec : trace_log_.records()) merged.record(rec);
-    return merged;
-  }
-  // Gather (shard, position) pairs and sort by (event key, emit index).
-  // Keys are globally unique per event (the origin word carries the entity
-  // context, and each entity lives on exactly one engine), so the order is
-  // total and identical for every lane count.
-  struct Ref {
-    std::uint32_t shard;
-    std::uint32_t pos;
-  };
-  std::vector<Ref> refs;
-  std::size_t total = 0;
-  for (const auto& sh : shards_) total += sh.log.size();
-  refs.reserve(total);
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    for (std::uint32_t i = 0; i < shards_[s].log.size(); ++i) refs.push_back(Ref{s, i});
-  }
-  std::sort(refs.begin(), refs.end(), [this](const Ref& a, const Ref& b) {
-    const ShardKey& ka = shards_[a.shard].keys[a.pos];
-    const ShardKey& kb = shards_[b.shard].keys[b.pos];
-    if (ka.key == kb.key) return ka.idx < kb.idx;
-    return ka.key < kb.key;
-  });
-  merged.reserve(total);
-  for (const Ref& r : refs) merged.record(shards_[r.shard].log.records()[r.pos]);
-  return merged;
-}
-
-void Cluster::post_note_size(NodeId node, FileId file, std::int64_t size) {
-  if (lanes_ == nullptr) {
-    mdt_->note_size(file, size);
-    return;
-  }
-  // Zero-delay edge into the meta lane: inherit the executing event's key
-  // with a bumped sub so the MDT applies sizes in exactly the order the
-  // single-lane engine interleaves these calls with MDS RPC arrivals.
-  lanes_->post(lane_of_node(node), lanes_->meta_lane(), sim_for_node(node).child_key(),
-               ctx_of_port(mds_port()),
-               [this, file, size] { mdt_->note_size(file, size); });
 }
 
 PfsClient& Cluster::make_client(NodeId node, Rank rank, std::int32_t job) {

@@ -15,7 +15,6 @@
 #include "qif/pfs/mdt.hpp"
 #include "qif/pfs/network.hpp"
 #include "qif/pfs/ost.hpp"
-#include "qif/sim/lanes.hpp"
 #include "qif/sim/simulation.hpp"
 #include "qif/trace/op_record.hpp"
 
@@ -42,44 +41,10 @@ class Cluster {
  public:
   Cluster(sim::Simulation& sim, const ClusterConfig& config);
 
-  /// Lane mode: the cluster's resources are spread over the group's data
-  /// lanes — client node n lives on lane n*L/n_client_nodes, OSS port p on
-  /// lane p*L/n_oss, and the MDS (plus the MDT behind it) on the dedicated
-  /// meta lane.  Throws std::invalid_argument when the partition is invalid
-  /// (no data lanes, or more lanes than OSS groups — a lane with no server
-  /// port could never make progress against the lookahead bound).
-  Cluster(sim::LaneGroup& lanes, const ClusterConfig& config);
-
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Classic (single-engine) mode only.
-  [[nodiscard]] sim::Simulation& sim() { return *single_sim_; }
-  [[nodiscard]] bool lane_mode() const { return lanes_ != nullptr; }
-  [[nodiscard]] sim::LaneGroup* lanes() { return lanes_; }
-  [[nodiscard]] int lane_of_node(NodeId node) const {
-    return lanes_ != nullptr ? node_lane_[static_cast<std::size_t>(node)] : 0;
-  }
-  [[nodiscard]] int lane_of_port(int port) const {
-    return lanes_ != nullptr ? port_lane_[static_cast<std::size_t>(port)] : 0;
-  }
-  /// Entity-context ids for lane-mode key minting (simulation.hpp): client
-  /// node n -> n, server port p -> n_client_nodes + p.  Must agree with
-  /// NetworkFabric::node_ctx/port_ctx — one convention across the stack.
-  [[nodiscard]] std::uint32_t ctx_of_node(NodeId node) const {
-    return static_cast<std::uint32_t>(node);
-  }
-  [[nodiscard]] std::uint32_t ctx_of_port(int port) const {
-    return static_cast<std::uint32_t>(config_.n_client_nodes + port);
-  }
-  /// The engine client node `node` runs on (the single engine in classic mode).
-  [[nodiscard]] sim::Simulation& sim_for_node(NodeId node) {
-    return lanes_ != nullptr ? lanes_->lane(lane_of_node(node)) : *single_sim_;
-  }
-  /// The engine that owns OST `ost` (its OSS port's lane).
-  [[nodiscard]] sim::Simulation& sim_for_ost(OstId ost) {
-    return lanes_ != nullptr ? lanes_->lane(lane_of_port(oss_port(ost))) : *single_sim_;
-  }
+  [[nodiscard]] sim::Simulation& sim() { return sim_; }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
 
   [[nodiscard]] int n_osts() const { return static_cast<int>(osts_.size()); }
@@ -116,28 +81,9 @@ class Cluster {
   /// any server's vector.
   [[nodiscard]] std::array<std::int64_t, kNumRawCounters> server_counters(int server) const;
 
-  /// The run's trace log; every client op record lands here (classic mode).
+  /// The run's trace log; every client op record lands here.
   [[nodiscard]] trace::TraceLog& trace_log() { return trace_log_; }
   [[nodiscard]] const trace::TraceLog& trace_log() const { return trace_log_; }
-
-  /// Sink for a completed client op.  Classic mode appends to the single
-  /// trace log; lane mode appends to the executing lane's shard together
-  /// with the executing event's key, so merged_trace() can reconstruct the
-  /// exact completion order the sequential engine would have produced.
-  void record_client_op(NodeId node, trace::OpRecord rec);
-
-  /// Lane mode: the per-lane shards merged into sequential completion order
-  /// — records sorted by (event key, emit index within the event), which is
-  /// precisely the order the single-engine run records them in.  Classic
-  /// mode returns a copy of the plain log.
-  [[nodiscard]] trace::TraceLog merged_trace() const;
-
-  /// Write-size bookkeeping on the MDT.  In classic mode this is the direct
-  /// zero-delay call the sequential cluster always made; in lane mode it
-  /// becomes a cross-lane message to the meta lane carrying the executing
-  /// event's child key (same when, sub+1), delivered before the meta lane
-  /// runs the window — the one legal zero-lookahead edge (see lanes.hpp).
-  void post_note_size(NodeId node, FileId file, std::int64_t size);
 
   /// Creates a client for (node, rank) tagged with `job`.  Clients are owned
   /// by the cluster and live for the whole run.
@@ -152,32 +98,14 @@ class Cluster {
   void set_gate_factory(GateFactory factory) { gate_factory_ = std::move(factory); }
 
  private:
-  /// Per-lane trace shard: the lane's records plus, for each record, the key
-  /// of the event that emitted it and the record's index within that event
-  /// (one event may emit several records back-to-back).
-  struct ShardKey {
-    sim::EventKey key;
-    std::uint32_t idx;
-  };
-  struct TraceShard {
-    trace::TraceLog log;
-    std::vector<ShardKey> keys;
-  };
-
-  void build_servers(const ClusterConfig& config);
-
-  sim::Simulation* single_sim_ = nullptr;  // classic mode
-  sim::LaneGroup* lanes_ = nullptr;        // lane mode
+  sim::Simulation& sim_;
   ClusterConfig config_;
-  std::vector<int> node_lane_;  // lane mode: client node -> data lane
-  std::vector<int> port_lane_;  // lane mode: server port -> lane (MDS -> meta)
   std::vector<std::unique_ptr<Ost>> osts_;
   std::unique_ptr<MdtServer> mdt_;
   std::unique_ptr<NetworkFabric> net_;
   std::vector<std::unique_ptr<PfsClient>> clients_;
   GateFactory gate_factory_;
   trace::TraceLog trace_log_;
-  std::vector<TraceShard> shards_;  // lane mode: one per data lane
 };
 
 }  // namespace qif::pfs

@@ -215,17 +215,16 @@ FaultInjector::FaultInjector(Cluster& cluster, FaultPlan plan, std::uint64_t see
   // Only wire gates into the fabric when the plan can actually drop
   // messages; otherwise the fabric keeps its gate-free (and branch-light)
   // healthy path.  One gate per resource, each with its own RNG stream
-  // keyed by the resource's stable name, checking the plan against its own
-  // engine's clock — no shared mutable state between resources, so the
-  // drop sequence each resource sees is partition-independent.
+  // keyed by the resource's stable name — no shared mutable state between
+  // resources.
   if (!plan_.rpc_loss.empty()) {
     cluster_.net().install_loss_gates(
-        [this, seed](const std::string& resource, sim::Simulation& sim) {
+        [this, seed](const std::string& resource) {
           auto gate = std::make_shared<LossGate>(LossGate{
-              sim::Rng(sim::Rng::derive_seed(seed, "fault-loss/" + resource)), &sim, 0});
+              sim::Rng(sim::Rng::derive_seed(seed, "fault-loss/" + resource)), 0});
           loss_gates_.push_back(gate);
           return [this, gate]() {
-            const double p = loss_probability_at(gate->sim->now());
+            const double p = active_loss_probability();
             if (p <= 0.0) return false;  // no RNG draw outside loss windows
             const bool drop = gate->rng.chance(p);
             if (drop) ++gate->dropped;
@@ -237,22 +236,13 @@ FaultInjector::FaultInjector(Cluster& cluster, FaultPlan plan, std::uint64_t see
 }
 
 void FaultInjector::schedule_episodes() {
-  // Each episode's transition events run on the engine owning the faulted
-  // OST, so per-OST state is only ever touched from its own lane.  In lane
-  // mode the transitions are minted under the OST's port context — setup
-  // scheduling, so the keys (and thus the transitions' order against
-  // colliding I/O completions) are partition-independent.  Loss windows
-  // schedule nothing: the gates are pure time checks.
+  auto& sim = cluster_.sim();
   for (const auto& f : plan_.slow_disks) {
-    auto& sim = cluster_.sim_for_ost(f.ost);
-    if (cluster_.lane_mode()) sim.set_context(cluster_.ctx_of_port(cluster_.oss_port(f.ost)));
     sim.schedule_at(f.start, [this, f] { apply_slow(f.ost, f.factor, true); });
     sim.schedule_at(f.start + f.duration,
                     [this, f] { apply_slow(f.ost, f.factor, false); });
   }
   for (const auto& f : plan_.stalls) {
-    auto& sim = cluster_.sim_for_ost(f.ost);
-    if (cluster_.lane_mode()) sim.set_context(cluster_.ctx_of_port(cluster_.oss_port(f.ost)));
     sim.schedule_at(f.start, [this, f] { apply_stall(f.ost, true); });
     sim.schedule_at(f.start + f.duration, [this, f] { apply_stall(f.ost, false); });
   }
@@ -260,10 +250,7 @@ void FaultInjector::schedule_episodes() {
     // The gates are pure time checks, but each window's boundaries still go
     // on the clock as no-op markers: an otherwise idle engine then advances
     // across the window, so active_loss_probability() and horizon-stepped
-    // scenario loops observe it opening and closing.  Markers mutate
-    // nothing, so they cannot perturb cross-partition identity.
-    auto& sim = cluster_.lane_mode() ? cluster_.lanes()->meta() : cluster_.sim();
-    if (cluster_.lane_mode()) sim.set_context(cluster_.ctx_of_port(cluster_.mds_port()));
+    // scenario loops observe it opening and closing.
     sim.schedule_at(f.start, [] {});
     sim.schedule_at(f.start + f.duration, [] {});
   }
@@ -272,7 +259,7 @@ void FaultInjector::schedule_episodes() {
 void FaultInjector::apply_slow(OstId ost, double factor, bool activate) {
   auto& st = ost_state_[static_cast<std::size_t>(ost)];
   if (activate) {
-    activations_.fetch_add(1, std::memory_order_relaxed);
+    ++activations_;
     st.slow_factors.push_back(factor);
   } else {
     for (auto it = st.slow_factors.begin(); it != st.slow_factors.end(); ++it) {
@@ -292,16 +279,12 @@ void FaultInjector::apply_slow(OstId ost, double factor, bool activate) {
 void FaultInjector::apply_stall(OstId ost, bool activate) {
   auto& st = ost_state_[static_cast<std::size_t>(ost)];
   if (activate) {
-    activations_.fetch_add(1, std::memory_order_relaxed);
+    ++activations_;
     ++st.stall_depth;
   } else if (st.stall_depth > 0) {
     --st.stall_depth;
   }
   cluster_.ost(ost).disk().set_stalled(st.stall_depth > 0);
-}
-
-sim::SimTime FaultInjector::current_time() const {
-  return cluster_.lane_mode() ? cluster_.lanes()->now() : cluster_.sim().now();
 }
 
 double FaultInjector::loss_probability_at(sim::SimTime t) const {
@@ -316,7 +299,7 @@ double FaultInjector::loss_probability_at(sim::SimTime t) const {
 }
 
 double FaultInjector::active_loss_probability() const {
-  return loss_probability_at(current_time());
+  return loss_probability_at(cluster_.sim().now());
 }
 
 std::uint64_t FaultInjector::messages_dropped() const {

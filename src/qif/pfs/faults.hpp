@@ -17,7 +17,6 @@
 // draws nothing, and leaves every byte of the simulation unchanged.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -101,14 +100,11 @@ struct FaultPlan {
 /// message-loss gates on the network resources.  One injector per run;
 /// construct after the Cluster, before any workload starts.
 ///
-/// Lane discipline: every mutation is confined to the engine that owns the
-/// mutated state.  Slow/stall transitions are scheduled on the owning OST's
-/// lane; message loss is a *per-resource* gate — each fabric resource gets
-/// its own RNG stream (derived from the run seed and the resource's stable
-/// name) and computes the active drop probability as a pure function of the
-/// static plan at its own engine's clock.  A resource's drop sequence thus
-/// depends only on its own traffic, which is what keeps faulted runs
-/// bit-identical across any lane partition (including the sequential one).
+/// Message loss is a *per-resource* gate: each fabric resource gets its own
+/// RNG stream (derived from the run seed and the resource's stable name)
+/// and computes the active drop probability as a pure function of the
+/// static plan at the simulation clock.  A resource's drop sequence thus
+/// depends only on its own traffic.
 class FaultInjector {
  public:
   /// Validates the plan against the cluster (OST ids, factors,
@@ -136,9 +132,7 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t messages_dropped() const;
   /// Slow/stall episode activations executed so far (introspection for
   /// tests; loss windows are pure time checks and schedule no events).
-  [[nodiscard]] int activations() const {
-    return activations_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] int activations() const { return activations_; }
 
  private:
   struct OstFaultState {
@@ -147,18 +141,15 @@ class FaultInjector {
   };
 
   /// One fabric resource's gate state; owned jointly by the injector (for
-  /// the drop tally) and the resource's gate closure.  Touched only from
-  /// the resource's own lane while the simulation runs.
+  /// the drop tally) and the resource's gate closure.
   struct LossGate {
     sim::Rng rng;
-    sim::Simulation* sim;
     std::uint64_t dropped = 0;
   };
 
   void schedule_episodes();
   void apply_slow(OstId ost, double factor, bool activate);
   void apply_stall(OstId ost, bool activate);
-  [[nodiscard]] sim::SimTime current_time() const;
 
   Cluster& cluster_;
   FaultPlan plan_;
@@ -166,7 +157,7 @@ class FaultInjector {
   std::vector<OstFaultState> ost_state_;
   std::vector<std::shared_ptr<LossGate>> loss_gates_;
   std::uint64_t messages_dropped_ = 0;  ///< standalone gate's own tally
-  std::atomic<int> activations_{0};
+  int activations_ = 0;
 };
 
 }  // namespace faults

@@ -7,7 +7,7 @@ namespace qif::pfs {
 
 NetworkFabric::NetworkFabric(sim::Simulation& sim, const NetworkParams& params,
                              int n_client_nodes, int n_server_ports)
-    : sim_(&sim), params_(params) {
+    : sim_(sim), params_(params) {
   client_egress_.reserve(static_cast<std::size_t>(n_client_nodes));
   for (int i = 0; i < n_client_nodes; ++i) {
     client_egress_.push_back(
@@ -21,79 +21,14 @@ NetworkFabric::NetworkFabric(sim::Simulation& sim, const NetworkParams& params,
   }
 }
 
-NetworkFabric::NetworkFabric(sim::LaneGroup& lanes, const NetworkParams& params,
-                             std::vector<int> node_lane, std::vector<int> port_lane)
-    : lanes_(&lanes),
-      params_(params),
-      node_lane_(std::move(node_lane)),
-      port_lane_(std::move(port_lane)) {
-  client_egress_.reserve(node_lane_.size());
-  for (std::size_t i = 0; i < node_lane_.size(); ++i) {
-    const int src = node_lane_[i];
-    auto pipe = std::make_unique<sim::Pipe>(lanes_->lane(src), params_.bytes_per_second,
-                                            params_.latency);
-    // Request delivery: the destination *port* rides in the message's route
-    // tag; the route resolves its lane and entity context.  Same lane mints
-    // the same key a cross-lane post would (schedule_after_ctx consumes one
-    // origin, exactly like post_cross), so partitioning never changes keys.
-    pipe->set_delivery_route(
-        [this, src](sim::SimDuration latency, std::int32_t port, sim::InlineTask fn) {
-          const int dst = port_lane_[static_cast<std::size_t>(port)];
-          const std::uint32_t ctx = port_ctx(port);
-          if (dst == src) {
-            lanes_->lane(src).schedule_after_ctx(latency, ctx, std::move(fn));
-          } else {
-            post_cross(src, dst, ctx, latency, std::move(fn));
-          }
-        });
-    client_egress_.push_back(std::move(pipe));
-  }
-  server_ingress_.reserve(port_lane_.size());
-  server_egress_.reserve(port_lane_.size());
-  for (std::size_t p = 0; p < port_lane_.size(); ++p) {
-    sim::Simulation& s = lanes_->lane(port_lane_[p]);
-    server_ingress_.push_back(std::make_unique<sim::FairLink>(s, params_.bytes_per_second));
-    server_egress_.push_back(std::make_unique<sim::FairLink>(s, params_.bytes_per_second));
-  }
-}
-
-sim::Simulation& NetworkFabric::node_sim(NodeId node) {
-  return lanes_ != nullptr ? lanes_->lane(node_lane_[static_cast<std::size_t>(node)])
-                           : *sim_;
-}
-
-sim::Simulation& NetworkFabric::port_sim(int port) {
-  return lanes_ != nullptr ? lanes_->lane(port_lane_[static_cast<std::size_t>(port)])
-                           : *sim_;
-}
-
-void NetworkFabric::post_cross(int src_lane, int dst_lane, std::uint32_t ctx,
-                               sim::SimDuration latency, sim::InlineTask fn) {
-  sim::Simulation& src = lanes_->lane(src_lane);
-  const sim::SimTime t = src.now();
-  lanes_->post(src_lane, dst_lane,
-               sim::EventKey{t + latency, t, src.consume_origin(), 0}, ctx,
-               std::move(fn));
-}
-
-void NetworkFabric::set_loss_gate(const std::function<bool()>& gate) {
-  for (auto& p : client_egress_) p->set_loss_gate(gate);
-  for (auto& l : server_ingress_) l->set_loss_gate(gate);
-  for (auto& l : server_egress_) l->set_loss_gate(gate);
-}
-
 void NetworkFabric::install_loss_gates(
-    const std::function<std::function<bool()>(const std::string& resource,
-                                              sim::Simulation& sim)>& make_gate) {
+    const std::function<std::function<bool()>(const std::string& resource)>& make_gate) {
   for (std::size_t i = 0; i < client_egress_.size(); ++i) {
-    client_egress_[i]->set_loss_gate(
-        make_gate("egress-pipe/" + std::to_string(i), node_sim(static_cast<NodeId>(i))));
+    client_egress_[i]->set_loss_gate(make_gate("egress-pipe/" + std::to_string(i)));
   }
   for (std::size_t p = 0; p < server_ingress_.size(); ++p) {
-    server_ingress_[p]->set_loss_gate(
-        make_gate("ingress-link/" + std::to_string(p), port_sim(static_cast<int>(p))));
-    server_egress_[p]->set_loss_gate(
-        make_gate("egress-link/" + std::to_string(p), port_sim(static_cast<int>(p))));
+    server_ingress_[p]->set_loss_gate(make_gate("ingress-link/" + std::to_string(p)));
+    server_egress_[p]->set_loss_gate(make_gate("egress-link/" + std::to_string(p)));
   }
 }
 
@@ -117,43 +52,20 @@ void NetworkFabric::rpc(NodeId client, int server_port, std::int64_t request_pay
 
   auto* ingress = server_ingress_[server_port].get();
   auto* egress = server_egress_[server_port].get();
-  const std::int32_t dst_tag = lanes_ != nullptr ? server_port : -1;
 
-  client_egress_[client]->send(
-      req_bytes, dst_tag,
-      [this, client, server_port, ingress, egress, req_bytes, resp_bytes,
-       serve = std::move(serve), on_complete = std::move(on_complete)]() mutable {
-        // From here on everything runs on the server port's engine, until
-        // the response propagation hop crosses back to the client.
-        ingress->transfer(req_bytes, [this, client, server_port, egress, resp_bytes,
-                                      serve = std::move(serve),
-                                      on_complete = std::move(on_complete)]() mutable {
-          serve([this, client, server_port, egress, resp_bytes,
-                 on_complete = std::move(on_complete)]() mutable {
-            egress->transfer(
-                resp_bytes, [this, client, server_port,
-                             on_complete = std::move(on_complete)]() mutable {
-                  // Response propagation back to the client host, delivered
-                  // under the client node's entity context.
-                  if (lanes_ != nullptr) {
-                    const int src = port_lane_[static_cast<std::size_t>(server_port)];
-                    const int dst = node_lane_[static_cast<std::size_t>(client)];
-                    const std::uint32_t ctx = node_ctx(client);
-                    if (src != dst) {
-                      post_cross(src, dst, ctx, params_.latency,
-                                 std::move(on_complete));
-                    } else {
-                      lanes_->lane(src).schedule_after_ctx(params_.latency, ctx,
-                                                           std::move(on_complete));
-                    }
-                    return;
-                  }
-                  port_sim(server_port).schedule_after(params_.latency,
-                                                       std::move(on_complete));
-                });
-          });
+  client_egress_[client]->send(req_bytes, [this, ingress, egress, req_bytes, resp_bytes,
+                                           serve = std::move(serve),
+                                           on_complete = std::move(on_complete)]() mutable {
+    ingress->transfer(req_bytes, [this, egress, resp_bytes, serve = std::move(serve),
+                                  on_complete = std::move(on_complete)]() mutable {
+      serve([this, egress, resp_bytes, on_complete = std::move(on_complete)]() mutable {
+        egress->transfer(resp_bytes, [this, on_complete = std::move(on_complete)]() mutable {
+          // Response propagation back to the client host.
+          sim_.schedule_after(params_.latency, std::move(on_complete));
         });
       });
+    });
+  });
 }
 
 }  // namespace qif::pfs

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "qif/sim/fair_link.hpp"
-#include "qif/sim/lanes.hpp"
 #include "qif/sim/pipe.hpp"
 #include "qif/sim/simulation.hpp"
 #include "qif/pfs/types.hpp"
@@ -37,16 +36,6 @@ class NetworkFabric {
   NetworkFabric(sim::Simulation& sim, const NetworkParams& params, int n_client_nodes,
                 int n_server_ports);
 
-  /// Lane mode: every port's resources live on the engine of its owning
-  /// lane (`node_lane[i]` for client node i's egress pipe, `port_lane[p]`
-  /// for server port p's ingress/egress links), and the two propagation
-  /// hops that may cross lanes — request delivery at the end of client-side
-  /// serialization, response delivery after server egress — become
-  /// timestamped cross-lane messages keyed exactly like the local events
-  /// the sequential fabric schedules.
-  NetworkFabric(sim::LaneGroup& lanes, const NetworkParams& params,
-                std::vector<int> node_lane, std::vector<int> port_lane);
-
   NetworkFabric(const NetworkFabric&) = delete;
   NetworkFabric& operator=(const NetworkFabric&) = delete;
 
@@ -61,17 +50,6 @@ class NetworkFabric {
 
   [[nodiscard]] int n_client_nodes() const { return static_cast<int>(client_egress_.size()); }
   [[nodiscard]] int n_server_ports() const { return static_cast<int>(server_ingress_.size()); }
-
-  /// Entity-context ids for the lane engines' partition-independent key
-  /// minting (simulation.hpp): client node n -> n, server port p ->
-  /// n_client_nodes + p.  One convention shared by the fabric's delivery
-  /// re-tagging and the cluster's setup-time contexts.
-  [[nodiscard]] std::uint32_t node_ctx(NodeId node) const {
-    return static_cast<std::uint32_t>(node);
-  }
-  [[nodiscard]] std::uint32_t port_ctx(int port) const {
-    return static_cast<std::uint32_t>(n_client_nodes() + port);
-  }
   [[nodiscard]] std::size_t server_ingress_flows(int port) const {
     return server_ingress_[port]->active();
   }
@@ -79,39 +57,21 @@ class NetworkFabric {
     return server_egress_[port]->active();
   }
 
-  /// Fault injection: installs `gate` as the message-loss gate on every
-  /// client egress pipe and every server ingress/egress link.  Each resource
-  /// consults the gate independently per message.
-  void set_loss_gate(const std::function<bool()>& gate);
-
-  /// Fault injection, per-resource form: `make_gate(resource, sim)` is
-  /// called once per fabric resource with a stable resource name and the
-  /// engine that owns the resource, and must return that resource's gate.
-  /// This is the lane-safe shape — each gate draws from its own stream, so
-  /// the drop sequence a resource sees depends only on its own traffic and
-  /// is identical however the cluster is partitioned.
+  /// Fault injection: `make_gate(resource)` is called once per fabric
+  /// resource (every client egress pipe and server ingress/egress link)
+  /// with a stable resource name and must return that resource's
+  /// message-loss gate.  Each resource consults its own gate per message,
+  /// so a gate that owns its RNG stream sees a drop sequence that depends
+  /// only on that resource's own traffic.
   void install_loss_gates(
-      const std::function<std::function<bool()>(const std::string& resource,
-                                                sim::Simulation& sim)>& make_gate);
+      const std::function<std::function<bool()>(const std::string& resource)>& make_gate);
 
   /// Total messages dropped by loss gates across all fabric resources.
   [[nodiscard]] std::uint64_t messages_dropped() const;
 
  private:
-  [[nodiscard]] sim::Simulation& node_sim(NodeId node);
-  [[nodiscard]] sim::Simulation& port_sim(int port);
-  /// Posts `fn` to `dst_lane` as the event the executing lane's
-  /// schedule_after(latency, fn) would have been: when = now + latency,
-  /// birth = now, origin freshly consumed from the source engine.  The
-  /// delivered event executes under entity context `ctx`.
-  void post_cross(int src_lane, int dst_lane, std::uint32_t ctx,
-                  sim::SimDuration latency, sim::InlineTask fn);
-
-  sim::Simulation* sim_ = nullptr;  // classic mode: the single engine
-  sim::LaneGroup* lanes_ = nullptr;
+  sim::Simulation& sim_;
   NetworkParams params_;
-  std::vector<int> node_lane_;  // lane mode only
-  std::vector<int> port_lane_;
   std::vector<std::unique_ptr<sim::Pipe>> client_egress_;
   std::vector<std::unique_ptr<sim::FairLink>> server_ingress_;
   std::vector<std::unique_ptr<sim::FairLink>> server_egress_;

@@ -28,12 +28,12 @@ Pipe::Message Pipe::ring_pop() {
   return msg;
 }
 
-void Pipe::send(std::int64_t bytes, std::int32_t route_tag, InlineTask on_delivered) {
+void Pipe::send(std::int64_t bytes, InlineTask on_delivered) {
   if (loss_gate_ && loss_gate_()) {
     ++messages_dropped_;
     return;  // dropped on the wire: no link time, callback never fires
   }
-  ring_push(Message{bytes < 0 ? 0 : bytes, route_tag, std::move(on_delivered)});
+  ring_push(Message{bytes < 0 ? 0 : bytes, std::move(on_delivered)});
   if (!busy_) start_next();
 }
 
@@ -45,7 +45,6 @@ void Pipe::start_next() {
   busy_ = true;
   Message msg = ring_pop();
   current_bytes_ = msg.bytes;
-  current_tag_ = msg.route_tag;
   current_done_ = std::move(msg.on_delivered);
   const auto serialize = static_cast<SimDuration>(
       std::ceil(static_cast<double>(current_bytes_) / bytes_per_second_ * 1e9));
@@ -56,14 +55,6 @@ void Pipe::start_next() {
 
 void Pipe::on_serialized() {
   bytes_sent_ += current_bytes_;
-  if (route_) {
-    // Cross-lane delivery: the lane fabric turns the callback into a
-    // timestamped message keyed exactly like the local delivery event the
-    // classic branch below would have scheduled.
-    route_(latency_, current_tag_, std::move(current_done_));
-    start_next();
-    return;
-  }
   // Park the callback in a pooled slot; the delivery event then only needs
   // {this, slot}, independent of pipe state (multiple deliveries overlap).
   std::uint32_t slot;

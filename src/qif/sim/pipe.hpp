@@ -33,13 +33,8 @@ class Pipe {
   Pipe& operator=(const Pipe&) = delete;
 
   /// Enqueues a message; `on_delivered` fires once the message has fully
-  /// serialized (in FIFO order) and propagated.  `route_tag` is opaque to
-  /// the pipe: it is handed to the delivery route (lane mode) so the fabric
-  /// knows which lane the far end lives in; untagged sends carry -1.
-  void send(std::int64_t bytes, InlineTask on_delivered) {
-    send(bytes, -1, std::move(on_delivered));
-  }
-  void send(std::int64_t bytes, std::int32_t route_tag, InlineTask on_delivered);
+  /// serialized (in FIFO order) and propagated.
+  void send(std::int64_t bytes, InlineTask on_delivered);
 
   [[nodiscard]] std::size_t queue_depth() const { return count_ + (busy_ ? 1 : 0); }
   [[nodiscard]] std::int64_t bytes_sent() const { return bytes_sent_; }
@@ -51,21 +46,9 @@ class Pipe {
   void set_loss_gate(std::function<bool()> gate) { loss_gate_ = std::move(gate); }
   [[nodiscard]] std::uint64_t messages_dropped() const { return messages_dropped_; }
 
-  /// Lane mode: when the far end of this pipe may live in a different event
-  /// lane, the delivery callback must become a cross-lane message instead of
-  /// a local event.  The route is invoked at serialization end with the
-  /// propagation latency, the message's route tag, and the callback; it
-  /// must either schedule locally (same lane) or hand the callback to the
-  /// lane fabric, which stamps the key from this pipe's engine and posts
-  /// it.  Unset by default — the classic path schedules locally.
-  using DeliveryRoute =
-      std::function<void(SimDuration latency, std::int32_t route_tag, InlineTask fn)>;
-  void set_delivery_route(DeliveryRoute route) { route_ = std::move(route); }
-
  private:
   struct Message {
     std::int64_t bytes;
-    std::int32_t route_tag;
     InlineTask on_delivered;
   };
 
@@ -85,7 +68,6 @@ class Pipe {
 
   // The message currently serializing (busy_ == true).
   std::int64_t current_bytes_ = 0;
-  std::int32_t current_tag_ = -1;
   InlineTask current_done_;
 
   // Pooled parking slots for callbacks riding out the propagation delay;
@@ -96,7 +78,6 @@ class Pipe {
   bool busy_ = false;
   std::int64_t bytes_sent_ = 0;
   std::function<bool()> loss_gate_;
-  DeliveryRoute route_;
   std::uint64_t messages_dropped_ = 0;
 };
 

@@ -32,7 +32,7 @@ void Simulation::release_slot(std::uint32_t idx) {
 }
 
 // ---------------------------------------------------------------------------
-// 4-ary heap keyed on (when, birth, origin, sub)
+// 4-ary heap keyed on (when, seq)
 // ---------------------------------------------------------------------------
 
 void Simulation::place(std::uint32_t pos, HeapEntry entry) {
@@ -84,40 +84,14 @@ void Simulation::heap_erase(std::uint32_t pos) {
 // Public API
 // ---------------------------------------------------------------------------
 
-EventId Simulation::push_event(const HeapEntry& proto, std::uint32_t ctx,
-                               InlineTask fn) {
+EventId Simulation::schedule_at(SimTime when, InlineTask fn) {
+  assert(when >= now_ && "cannot schedule into the past");
   const std::uint32_t idx = acquire_slot();
   Slot& s = slots_[idx];
   s.fn = std::move(fn);
-  s.ctx = ctx;
-  HeapEntry entry = proto;
-  entry.slot = idx;
   heap_.emplace_back();  // sift_up writes the real entry
-  sift_up(static_cast<std::uint32_t>(heap_.size() - 1), entry);
+  sift_up(static_cast<std::uint32_t>(heap_.size() - 1), HeapEntry{when, ++next_seq_, idx});
   return (static_cast<EventId>(idx) + 1) << 32 | s.gen;
-}
-
-EventId Simulation::schedule_at(SimTime when, InlineTask fn) {
-  assert(when >= now_ && "cannot schedule into the past");
-  return push_event(HeapEntry{when, now_, mint_origin(), 0, 0}, ctx_,
-                    std::move(fn));
-}
-
-EventId Simulation::schedule_after_ctx(SimDuration delay, std::uint32_t ctx,
-                                       InlineTask fn) {
-  return push_event(HeapEntry{now_ + delay, now_, mint_origin(), 0, 0}, ctx,
-                    std::move(fn));
-}
-
-EventId Simulation::inject(const EventKey& key, InlineTask fn) {
-  return inject(key, static_cast<std::uint32_t>(key.origin >> kLaneShift),
-                std::move(fn));
-}
-
-EventId Simulation::inject(const EventKey& key, std::uint32_t ctx, InlineTask fn) {
-  assert(key.when >= now_ && "cannot inject into the past");
-  return push_event(HeapEntry{key.when, key.birth, key.origin, 0, key.sub}, ctx,
-                    std::move(fn));
 }
 
 void Simulation::cancel(EventId id) {
@@ -136,10 +110,6 @@ std::uint64_t Simulation::run_until(SimTime until) {
   while (!heap_.empty() && heap_.front().when <= until) {
     const std::uint32_t idx = heap_.front().slot;
     now_ = heap_.front().when;
-    cur_birth_ = heap_.front().birth;
-    cur_origin_ = heap_.front().origin;
-    cur_sub_ = heap_.front().sub;
-    ctx_ = slots_[idx].ctx;  // mint everything this event schedules under it
     // Move the closure out and retire the slot *before* firing so the
     // closure may freely schedule, cancel, and reuse this very slot.  Its
     // own id dies with the generation bump, so self-cancel is a no-op.
@@ -155,7 +125,6 @@ std::uint64_t Simulation::run_until(SimTime until) {
   if (!heap_.empty() && until != std::numeric_limits<SimTime>::max() && until > now_) {
     now_ = until;
   }
-  ctx_ = setup_ctx_;  // driver-thread scheduling resumes under the setup context
   return ran;
 }
 

@@ -2,42 +2,9 @@
 //
 // A Simulation owns the virtual clock and a pooled 4-ary min-heap of
 // pending events.  Components schedule closures at absolute or relative
-// times; run() pops events in key order so simultaneous events fire in
-// their scheduling order, which makes every run fully deterministic.
-//
-// Event keys are (when, birth, origin, sub):
-//   * `when`   — the firing time.
-//   * `birth`  — the clock value at the moment the event was created (the
-//                generating event's own firing time; 0 for setup-time
-//                scheduling before the clock moves).
-//   * `origin` — a creation counter.  In the default (classic) mode it is
-//                a single per-engine counter tagged with the engine's lane
-//                id in the high bits; with enable_entity_contexts() it is
-//                a per-*entity* counter tagged with the entity's id (see
-//                below).
-//   * `sub`    — 0 for ordinary events; used by cross-lane messages that
-//                inherit their parent event's key (see sim/lanes.hpp).
-// In classic mode `birth` is non-decreasing and `origin` strictly
-// increasing over creation order, so for same-`when` events the key order
-// collapses to creation order — exactly the historical (when, seq) FIFO
-// contract, byte-identical traces included.
-//
-// Entity contexts (enable_entity_contexts) exist for the partitioned
-// multi-lane engine (sim::LaneGroup).  A global creation counter cannot be
-// reconstructed when lanes execute concurrently, so instead every event is
-// minted under a *context* — the id of the topology entity (client node,
-// OSS port, metadata server) the event runs on behalf of.  The origin
-// becomes (context << kLaneShift) | ++seq[context].  Contexts are
-// partition-independent: each entity lives on exactly one engine in every
-// partition, its counter advances in that engine's deterministic execution
-// order, and cross-engine deliveries re-tag the context at the boundary
-// (Simulation::inject with an explicit context / schedule_after_ctx).  The
-// result: every lane count N >= 1 produces bit-identical merged event
-// orders.  The entity-ordered tie-break differs from the classic global
-// counter for *cross-entity* ties, so the lane family is internally
-// consistent but not byte-identical to the classic engine; run_scenario
-// keeps classic as the default (lanes = 0) precisely so existing goldens
-// never move.
+// times; run() pops events in (when, seq) order, where `seq` is a
+// per-engine creation counter, so simultaneous events fire in their
+// scheduling order (FIFO), which makes every run fully deterministic.
 //
 // Engine layout (the campaign hot path — see DESIGN.md "Event engine
 // internals"):
@@ -72,26 +39,6 @@ namespace qif::sim {
 /// reused 2^32 times (far beyond any campaign's event count).
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
-
-/// Full ordering key of an event (see the header comment).  Exposed so the
-/// lane engine can carry keys across engines as plain data.
-struct EventKey {
-  SimTime when = 0;
-  SimTime birth = 0;
-  std::uint64_t origin = 0;
-  std::uint32_t sub = 0;
-
-  friend bool operator<(const EventKey& a, const EventKey& b) {
-    if (a.when != b.when) return a.when < b.when;
-    if (a.birth != b.birth) return a.birth < b.birth;
-    if (a.origin != b.origin) return a.origin < b.origin;
-    return a.sub < b.sub;
-  }
-  friend bool operator==(const EventKey& a, const EventKey& b) {
-    return a.when == b.when && a.birth == b.birth && a.origin == b.origin &&
-           a.sub == b.sub;
-  }
-};
 
 class Simulation {
  public:
@@ -141,115 +88,24 @@ class Simulation {
   /// free-list integrity.  O(n); used by tests and debug assertions.
   [[nodiscard]] bool check_invariants() const;
 
-  // --- Lane-engine surface (sim/lanes.hpp). -------------------------------
-  // A standalone engine never needs any of these; they default to the
-  // historical sequential behaviour (lane 0, no injected events).
-
-  /// Tags every subsequently created origin with `lane` in the high bits so
-  /// keys created concurrently in different lanes stay distinct and order
-  /// deterministically.  Call once, before any event is scheduled.
-  void set_lane(std::uint32_t lane) {
-    assert(next_seq_ == 0 && "set_lane must precede all scheduling");
-    lane_tag_ = static_cast<std::uint64_t>(lane) << kLaneShift;
-  }
-
-  /// Switches origin minting from the engine-global counter to per-entity
-  /// counters (see the header comment).  Call once, before any event is
-  /// scheduled.  Irreversible for the engine's lifetime.
-  void enable_entity_contexts() {
-    assert(next_seq_ == 0 && "enable_entity_contexts must precede scheduling");
-    entity_mode_ = true;
-  }
-
-  /// Entity context used for scheduling done *outside* event execution
-  /// (setup-time wiring; re-wiring between run_until calls).  During event
-  /// execution the executing event's stored context applies instead.
-  /// Sticky until the next call.  Has no effect in classic mode.
-  void set_context(std::uint32_t ctx) {
-    setup_ctx_ = ctx;
-    ctx_ = ctx;
-  }
-
-  /// Context currently in effect for minting (the executing event's context
-  /// inside an event closure; the setup context otherwise).
-  [[nodiscard]] std::uint32_t context() const { return ctx_; }
-
-  /// Consumes one origin value, exactly as scheduling an event here would.
-  /// The lane fabric uses this to stamp an outgoing cross-lane message with
-  /// the key the equivalent local schedule_after call would have produced.
-  [[nodiscard]] std::uint64_t consume_origin() { return mint_origin(); }
-
-  /// Firing time of the earliest pending event, or SimTime max when idle.
-  /// The lane group's lower-bound-on-time-stamp computation reads this.
-  [[nodiscard]] SimTime next_event_time() const {
-    return heap_.empty() ? std::numeric_limits<SimTime>::max() : heap_.front().when;
-  }
-
-  /// Schedules `fn` under an externally produced key (a cross-lane message
-  /// carrying its creator's stamp).  `key.when` must be >= now().  The
-  /// delivered event executes under the context packed into the key's high
-  /// origin bits (its creator's context).
-  EventId inject(const EventKey& key, InlineTask fn);
-
-  /// Like inject(), but the delivered event executes under `ctx` — the
-  /// destination entity's context.  The lane fabric re-tags every delivery
-  /// at the engine boundary with this overload so everything the delivered
-  /// hop schedules is minted against the destination entity, independent of
-  /// which engine the sender lived on.
-  EventId inject(const EventKey& key, std::uint32_t ctx, InlineTask fn);
-
-  /// Schedules `fn` to run `delay` from now, executing under `ctx` instead
-  /// of inheriting the scheduler's context.  The minted key is identical to
-  /// schedule_after's, which is in turn identical to the consume_origin +
-  /// inject pair the fabric uses for a cross-engine hop — so a hop delivers
-  /// with the same key and context whether or not it crosses engines.
-  EventId schedule_after_ctx(SimDuration delay, std::uint32_t ctx, InlineTask fn);
-
-  /// Key of the event currently executing (valid inside an event closure).
-  [[nodiscard]] EventKey current_key() const {
-    return EventKey{now_, cur_birth_, cur_origin_, cur_sub_};
-  }
-
-  /// Key for a zero-delay child that must sort immediately after the
-  /// executing event but before every event created later: same (when,
-  /// birth, origin), bumped `sub`.  Used for synchronous cross-lane effects
-  /// (an MDS size update piggybacking on a client-side completion).  Such a
-  /// child must not mint further children of its own — sub is a single
-  /// per-parent counter, not a path.
-  [[nodiscard]] EventKey child_key() {
-    return EventKey{now_, cur_birth_, cur_origin_, ++cur_sub_};
-  }
-
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  /// Origin layout: high bits lane id, low bits the per-engine counter.
-  /// 44 bits ≈ 17e12 events per lane before overflow — far beyond any run.
-  static constexpr unsigned kLaneShift = 44;
-
   struct HeapEntry {
     SimTime when;
-    SimTime birth;
-    std::uint64_t origin;  // lane-tagged creation order; FIFO tie-break
+    std::uint64_t seq;  // creation order; FIFO tie-break among equal `when`
     std::uint32_t slot;
-    std::uint32_t sub;
   };
+  static_assert(sizeof(HeapEntry) == 24, "sift moves 24-byte entries");
 
   struct Slot {
     InlineTask fn;
     std::uint32_t heap_pos = kNil;  // position in heap_, kNil when free
     std::uint32_t gen = 0;          // bumped on release; validates EventIds
     std::uint32_t next_free = kNil;
-    std::uint32_t ctx = 0;  // entity context the event executes under
   };
 
   static bool precedes(const HeapEntry& a, const HeapEntry& b) {
-    if (a.when != b.when) return a.when < b.when;
-    // Among simultaneous events: creation order.  birth is non-decreasing
-    // and origin strictly increasing over one engine's creation sequence,
-    // so within a single engine this is the historical FIFO tie-break.
-    if (a.birth != b.birth) return a.birth < b.birth;
-    if (a.origin != b.origin) return a.origin < b.origin;
-    return a.sub < b.sub;
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
 
   std::uint32_t acquire_slot();
@@ -259,34 +115,9 @@ class Simulation {
   void sift_down(std::uint32_t pos, HeapEntry entry);
   void heap_erase(std::uint32_t pos);
 
-  EventId push_event(const HeapEntry& proto, std::uint32_t ctx, InlineTask fn);
-
-  /// Mints the next origin under the active context (entity mode) or the
-  /// engine-global lane-tagged counter (classic mode — byte-identical to
-  /// the historical behaviour).
-  std::uint64_t mint_origin() {
-    if (!entity_mode_) return lane_tag_ | ++next_seq_;
-    if (ctx_ >= eseq_.size()) eseq_.resize(static_cast<std::size_t>(ctx_) + 1, 0);
-    return (static_cast<std::uint64_t>(ctx_) << kLaneShift) | ++eseq_[ctx_];
-  }
-
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t lane_tag_ = 0;
   std::uint64_t executed_ = 0;
-  // Entity-context state (enable_entity_contexts).  ctx_ tracks the minting
-  // context: the executing event's context inside run_until, the setup
-  // context otherwise.  eseq_ holds one counter per entity; it only grows
-  // while new contexts first appear (topology-bounded), never in steady
-  // state.
-  bool entity_mode_ = false;
-  std::uint32_t ctx_ = 0;
-  std::uint32_t setup_ctx_ = 0;
-  std::vector<std::uint64_t> eseq_;
-  // Key of the event currently executing (run_until loads these at pop).
-  SimTime cur_birth_ = 0;
-  std::uint64_t cur_origin_ = 0;
-  std::uint32_t cur_sub_ = 0;
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNil;

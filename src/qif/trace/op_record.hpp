@@ -88,10 +88,8 @@ class TraceLog {
 /// order, covering every semantic field of every record (the replay
 /// metadata — path/stripes/stripe_hint — is excluded so pre-metadata
 /// golden fingerprints stay valid).  Two runs with equal
-/// fingerprints produced byte-identical op streams — the equality the
-/// lane engine's bit-identity contract is stated in (test_sim_lanes pins
-/// it across lane counts; `qif run --lanes N` prints it so scripts can
-/// assert the same equality end to end).
+/// fingerprints produced byte-identical op streams (`qif run` prints it so
+/// scripts can assert that equality end to end).
 [[nodiscard]] std::uint64_t trace_fingerprint(const TraceLog& log);
 
 }  // namespace qif::trace

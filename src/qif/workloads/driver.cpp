@@ -1,29 +1,11 @@
 #include "qif/workloads/driver.hpp"
 
-#include <stdexcept>
-#include <string>
-
 namespace qif::workloads {
 
 JobInstance::JobInstance(pfs::Cluster& cluster, const JobSpec& spec, bool loop,
                          sim::SimTime stop_at)
     : cluster_(cluster), spec_(spec) {
   const int n_ranks = spec_.n_ranks();
-  // A job's shared completion state (ranks_done_, on_complete_) is plain
-  // data, so in lane mode every node the job spans must live in the same
-  // event lane — rank completions then all run on one engine.
-  if (!spec_.nodes.empty()) {
-    const int lane = cluster_.lane_of_node(spec_.nodes.front());
-    for (const pfs::NodeId n : spec_.nodes) {
-      if (cluster_.lane_of_node(n) != lane) {
-        throw std::invalid_argument(
-            "job " + std::to_string(spec_.job) + ": nodes span event lanes " +
-            std::to_string(lane) + " and " + std::to_string(cluster_.lane_of_node(n)) +
-            "; co-locate each job's nodes within one lane");
-      }
-    }
-    job_sim_ = &cluster_.sim_for_node(spec_.nodes.front());
-  }
   executors_.reserve(static_cast<std::size_t>(n_ranks));
   for (pfs::Rank r = 0; r < n_ranks; ++r) {
     const pfs::NodeId node = spec_.nodes[static_cast<std::size_t>(r) / spec_.procs_per_node];
@@ -36,7 +18,7 @@ JobInstance::JobInstance(pfs::Cluster& cluster, const JobSpec& spec, bool loop,
     opts.on_finish = [this] {
       ++ranks_done_;
       if (ranks_done_ == executors_.size()) {
-        completion_time_ = job_sim_->now();
+        completion_time_ = cluster_.sim().now();
         if (on_complete_) on_complete_();
       }
     };
@@ -47,17 +29,7 @@ JobInstance::JobInstance(pfs::Cluster& cluster, const JobSpec& spec, bool loop,
 
 void JobInstance::start(std::function<void()> on_complete) {
   on_complete_ = std::move(on_complete);
-  for (std::size_t r = 0; r < executors_.size(); ++r) {
-    // A rank's kickoff issues its first client ops synchronously from the
-    // driver thread (setup-time scheduling).  In lane mode mint those under
-    // the rank's node entity context so their keys — and everything
-    // downstream — are partition-independent.
-    const pfs::NodeId node = spec_.nodes[r / static_cast<std::size_t>(spec_.procs_per_node)];
-    if (cluster_.lane_mode()) {
-      cluster_.sim_for_node(node).set_context(cluster_.ctx_of_node(node));
-    }
-    executors_[r]->start();
-  }
+  for (auto& ex : executors_) ex->start();
 }
 
 sim::SimTime JobInstance::body_start_time() const {

@@ -56,7 +56,6 @@ class JobInstance {
  private:
   pfs::Cluster& cluster_;
   JobSpec spec_;
-  sim::Simulation* job_sim_ = nullptr;  ///< engine of the job's (single) lane
   std::vector<std::unique_ptr<ProgramExecutor>> executors_;
   std::size_t ranks_done_ = 0;
   sim::SimTime completion_time_ = 0;

@@ -2,7 +2,8 @@
 # workload-IR surface:
 #   dump-trace W  ->  run trace:F   reproduces W's op stream (fingerprint)
 #   workloads export W -> lint -> run qwp:F  reproduces W as well
-# both in the classic engine and on parallel event lanes.
+# on the testbed shape and on a custom --topology, plus rejection of a
+# malformed --topology.
 file(MAKE_DIRECTORY ${WORK_DIR})
 
 function(run outvar)
@@ -20,6 +21,7 @@ function(expect_fail)
   if(rc EQUAL 0)
     message(FATAL_ERROR "command unexpectedly succeeded: ${ARGN}\n${out}")
   endif()
+  set(fail_output "${out}${err}" PARENT_SCOPE)
 endfunction()
 
 # Extracts the `solo trace fp: HHHH` line `qif run` prints.
@@ -41,22 +43,22 @@ if(NOT replay_fp STREQUAL base_fp)
   message(FATAL_ERROR "replay fingerprint ${replay_fp} != original ${base_fp}")
 endif()
 
-# --- Closed loop on event lanes --------------------------------------------
-# Lane runs are bit-identical for every lane count N >= 1 (but not to the
-# classic engine), so the dump and both replays all use the laned engine on
-# a 4-OSS topology.
-run(lane_out ${QIF_CLI} run enzo --scale 0.5 --topology 8x4x2 --lanes 1)
-fingerprint(lane_fp "${lane_out}")
-run(_ ${QIF_CLI} dump-trace enzo --scale 0.5 --topology 8x4x2 --lanes 1 --out enzo_lane.dxt)
-run(lane1_out ${QIF_CLI} run trace:enzo_lane.dxt --topology 8x4x2 --lanes 1)
-fingerprint(lane1_fp "${lane1_out}")
-run(lane4_out ${QIF_CLI} run trace:enzo_lane.dxt --topology 8x4x2 --lanes 4)
-fingerprint(lane4_fp "${lane4_out}")
-if(NOT lane1_fp STREQUAL lane_fp)
-  message(FATAL_ERROR "lanes 1 replay fingerprint ${lane1_fp} != original ${lane_fp}")
+# --- Closed loop on a custom topology ---------------------------------------
+# The dump and its replay both run on a 4-OSS shape; the replay must
+# reproduce the original op stream there too.
+run(topo_out ${QIF_CLI} run enzo --scale 0.5 --topology 8x4x2)
+fingerprint(topo_fp "${topo_out}")
+run(_ ${QIF_CLI} dump-trace enzo --scale 0.5 --topology 8x4x2 --out enzo_topo.dxt)
+run(topo_replay_out ${QIF_CLI} run trace:enzo_topo.dxt --topology 8x4x2)
+fingerprint(topo_replay_fp "${topo_replay_out}")
+if(NOT topo_replay_fp STREQUAL topo_fp)
+  message(FATAL_ERROR
+    "8x4x2 replay fingerprint ${topo_replay_fp} != original ${topo_fp}")
 endif()
-if(NOT lane4_fp STREQUAL lane_fp)
-  message(FATAL_ERROR "lanes 4 replay fingerprint ${lane4_fp} != original ${lane_fp}")
+# A malformed shape is rejected with a clear error.
+expect_fail(${QIF_CLI} run ior-easy-write --topology 7x3)
+if(NOT fail_output MATCHES "bad --topology")
+  message(FATAL_ERROR "--topology 7x3 failed without 'bad --topology':\n${fail_output}")
 endif()
 
 # --- .qwp export / lint / run ----------------------------------------------

@@ -163,6 +163,30 @@ TEST(FaultInjector, StallWindowsNestByDepth) {
   EXPECT_FALSE(cluster.ost(1).disk().stalled());
 }
 
+TEST(FaultInjector, StallAndSlowEpisodesOnOneOstRestoreExactly) {
+  // Nested stalls and a slow episode on the same OST, stepped through
+  // run_until boundaries that fall inside every episode: the stall unwinds
+  // by depth, the multiplier drops back to exactly 1.0 while the outer
+  // stall is still on, and both kinds count as activations.
+  sim::Simulation s;
+  Cluster cluster(s, core::testbed_cluster_config(5));
+  FaultPlan plan;
+  plan.stalls.push_back({3, sim::kSecond, 4 * sim::kSecond});
+  plan.stalls.push_back({3, 2 * sim::kSecond, sim::kSecond});  // nested
+  plan.slow_disks.push_back({3, sim::kSecond, 2 * sim::kSecond, 5.0});
+  FaultInjector injector(cluster, plan, 77);
+  s.run_until(1500 * sim::kMillisecond);
+  EXPECT_TRUE(cluster.ost(3).disk().stalled());
+  EXPECT_DOUBLE_EQ(cluster.ost(3).disk().fault_multiplier(), 5.0);
+  s.run_until(3500 * sim::kMillisecond);  // inner stall + slow over, outer on
+  EXPECT_TRUE(cluster.ost(3).disk().stalled());
+  EXPECT_EQ(cluster.ost(3).disk().fault_multiplier(), 1.0);
+  s.run_until(6 * sim::kSecond);
+  EXPECT_FALSE(cluster.ost(3).disk().stalled());
+  EXPECT_EQ(cluster.ost(3).disk().fault_multiplier(), 1.0);
+  EXPECT_EQ(injector.activations(), 3);
+}
+
 TEST(FaultInjector, LossWindowsComposeAndGateDraws) {
   sim::Simulation s;
   Cluster cluster(s, core::testbed_cluster_config(8));

@@ -17,7 +17,6 @@
 #include <new>
 
 #include "qif/sim/fair_link.hpp"
-#include "qif/sim/lanes.hpp"
 #include "qif/sim/pipe.hpp"
 #include "qif/sim/simulation.hpp"
 
@@ -120,37 +119,6 @@ TEST(EngineAllocations, FairLinkTransfersAreAllocationFreeInSteadyState) {
   round(64);
   EXPECT_EQ(w.count(), 0u) << "FairLink transfer/completion allocated in steady state";
   EXPECT_EQ(done, 128);
-}
-
-TEST(EngineAllocations, LaneWindowLoopIsAllocationFreeInSteadyState) {
-  // The lane hot loop: post into the per-(src,dst) outboxes, drain them via
-  // inject, run both window stages, mint entity-context origins.  After one
-  // warm-up (outbox capacity, slot slabs, per-context counters) a steady
-  // round must not allocate.
-  LaneGroup lanes(2, /*lookahead=*/100);
-  // Both lanes fire deliveries in the same window on different threads.
-  std::atomic<int> fired{0};
-  auto round = [&](int n) {
-    for (int i = 0; i < n; ++i) {
-      for (int src = 0; src < 2; ++src) {
-        Simulation& s = lanes.lane(src);
-        const SimTime t = s.now();
-        lanes.post(src, 1 - src, EventKey{t + 100, t, s.consume_origin(), 0},
-                   /*ctx=*/static_cast<std::uint32_t>(1 - src), [&lanes, src, &fired] {
-                     ++fired;
-                     // Delivered hops schedule local follow-ups, like a
-                     // served RPC does.
-                     lanes.lane(1 - src).schedule_after(10, [&fired] { ++fired; });
-                   });
-      }
-      lanes.run_until(lanes.now() + 1000);
-    }
-  };
-  round(64);  // warm-up
-  const AllocWindow w;
-  round(64);
-  EXPECT_EQ(w.count(), 0u) << "lane window loop allocated in steady state";
-  EXPECT_EQ(fired.load(), 2 * 2 * 128);
 }
 
 TEST(EngineAllocations, PipeDeliveriesAreAllocationFreeInSteadyState) {

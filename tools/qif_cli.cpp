@@ -12,19 +12,16 @@
 //         qif run trace:run.dxt --replay-timing original
 //
 //   qif run <target> [--noise W] [--instances N] [--scale S] [--seed K]
-//           [--faults SPEC] [--lanes N] [--topology CxSxT]
+//           [--faults SPEC] [--topology CxSxT] [--mitigate POLICY]
 //           [--replay-timing original|asap|scale=X]
 //       Run one scenario (solo, or under N looping copies of W) and print
 //       completion time plus the per-op-type latency breakdown.  --faults
 //       injects a fault plan (e.g. "slow:ost=0,start=2,dur=10,factor=4")
 //       into every run and reports retry/timeout/failure counts.
 //       --topology replaces the 7x3x2 testbed shape with CLIENTS x OSS x
-//       OSTS_PER_OSS (e.g. 1008x16x8 for a 128-OST cluster).  --lanes N
-//       partitions the cluster into N per-OSS-group event lanes plus a
-//       metadata lane (see DESIGN.md "Parallel event lanes"); the printed
-//       trace fingerprint is bit-identical for every N >= 1, which is how
-//       scripts assert the partitioning changed nothing.  N must be at
-//       least 1 and at most the OSS count.
+//       OSTS_PER_OSS (e.g. 1008x16x8 for a 128-OST cluster).  The printed
+//       trace fingerprints are what scripts diff to assert that a
+//       supposedly neutral change left the simulation untouched.
 //
 //   qif campaign <io500|dlio|amrex|enzo|openpmd|custom> [--richness R]
 //                [--workload W]
@@ -73,8 +70,8 @@
 //       manifest back into one file.  shard -> merge round-trips the
 //       dataset exactly.
 //
-//   qif dump-trace <target> [--scale S] [--seed K] [--lanes N]
-//                  [--topology CxSxT] --out trace.txt
+//   qif dump-trace <target> [--scale S] [--seed K] [--topology CxSxT]
+//                  --out trace.txt
 //       Run the target solo and dump its DXT-style op trace.
 //
 //   qif serve bench [--model F | --model-dir D] [--producers N] [--requests R]
@@ -95,6 +92,9 @@
 //       a binary .qifm into the registry as v<N+1>.qifm.  Without a model
 //       a synthetic bundle is generated (--arch kernel|attention,
 //       --classes C, --seed K) so smoke runs need no training step.
+//
+// Every subcommand rejects options it does not know (exit 1, naming the
+// option), so a typo or a retired option never silently changes a run.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -107,6 +107,7 @@
 #include <map>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -167,6 +168,46 @@ bool is_flag_option(const std::string& name) {
   return name == "compress" || name == "json" || name == "sync";
 }
 
+/// The options each subcommand reads, flags included.
+const std::map<std::string, std::set<std::string>>& known_options() {
+  static const std::map<std::string, std::set<std::string>> table = {
+      {"workloads", {"ranks", "seed", "scale", "out"}},
+      {"run",
+       {"noise", "instances", "scale", "seed", "faults", "topology", "mitigate",
+        "replay-timing"}},
+      {"campaign",
+       {"richness", "workload", "bins", "seed", "jobs", "faults", "mitigate", "json",
+        "compress", "stream-out", "out", "replay-timing"}},
+      {"train", {"data", "out", "classes", "epochs", "jobs", "memory-budget"}},
+      {"eval", {"data", "model"}},
+      {"dataset", {"rows", "compress", "rows-per-shard", "shards"}},
+      {"dump-trace", {"scale", "seed", "topology", "out", "replay-timing"}},
+      {"serve",
+       {"model", "model-dir", "producers", "requests", "max-batch", "max-delay-us",
+        "ring", "inflight", "sync", "swap-every-ms", "json", "arch", "classes", "seed"}},
+  };
+  return table;
+}
+
+/// Rejects any `--name` the subcommand does not read, and a trailing
+/// option left without its value, instead of silently ignoring either.
+void check_options(const std::string& cmd, const Args& args) {
+  const auto it = known_options().find(cmd);
+  if (it == known_options().end()) return;  // unknown command: usage()
+  for (const auto& [name, value] : args.options) {
+    if (it->second.count(name) == 0) {
+      throw std::invalid_argument(cmd + ": unknown option '--" + name + "'");
+    }
+  }
+  for (const std::string& p : args.positional) {
+    if (p.rfind("--", 0) != 0) continue;
+    if (it->second.count(p.substr(2)) == 0) {
+      throw std::invalid_argument(cmd + ": unknown option '" + p + "'");
+    }
+    throw std::invalid_argument(cmd + ": option '" + p + "' needs a value");
+  }
+}
+
 Args parse(int argc, char** argv) {
   Args args;
   for (int i = 2; i < argc; ++i) {
@@ -191,13 +232,10 @@ int usage() {
                "  workloads lint <file.qwp>          parse + summarize a .qwp program\n"
                "  run <target> [--noise W] [--instances N] [--scale S] [--seed K]"
                " [--faults SPEC]\n"
-               "      [--lanes N] [--topology CxSxT] [--mitigate POLICY]"
+               "      [--topology CxSxT] [--mitigate POLICY]"
                " [--replay-timing original|asap|scale=X]\n"
                "        <target>/<W> accept trace:FILE, ckpt:SIZE,BW,MTTI and"
                " qwp:FILE forms\n"
-               "        --lanes N        run on N parallel event lanes (1 <= N <= OSS"
-               " count;\n"
-               "                         trace fingerprint is identical for every N)\n"
                "        --topology CxSxT CLIENTS x OSS x OSTS_PER_OSS cluster shape\n"
                "                         (default 7x3x2 testbed; e.g. 1008x16x8)\n"
                "        --mitigate POLICY closed-loop mitigation: off |"
@@ -218,7 +256,7 @@ int usage() {
                "  dataset shard <in> <out-prefix> [--rows-per-shard R | --shards N]"
                " [--compress]\n"
                "  dataset merge <in.qdm> <out>\n"
-               "  dump-trace <target> [--scale S] [--seed K] [--lanes N]"
+               "  dump-trace <target> [--scale S] [--seed K]"
                " [--topology CxSxT] --out F.txt\n"
                "      (a dump replays via `run trace:F.txt` — the closed loop)\n"
                "  serve bench [--model F | --model-dir D] [--producers N]"
@@ -362,14 +400,8 @@ std::string with_replay_timing(std::string name, const Args& args) {
   return name + "@" + timing;
 }
 
-/// Applies the scenario-shaping options shared by `run` and `dump-trace`:
-/// `--topology CxSxT` replaces the testbed cluster shape, and `--lanes N`
-/// selects the parallel lane engine.  `--lanes 0` is rejected here — the
-/// library's lanes == 0 means "classic single engine", which on the CLI is
-/// spelled by omitting the flag, so an explicit 0 is a confused request
-/// for a lane run with no lanes.  Lane counts above the OSS count are
-/// rejected by the cluster layer (each data lane must own an OSS port);
-/// its message reaches the user through the main() error path.
+/// Applies the scenario-shaping option shared by `run` and `dump-trace`:
+/// `--topology CxSxT` replaces the testbed cluster shape.
 void apply_cluster_options(core::ScenarioConfig& cfg, const Args& args) {
   const std::string topo = args.get("topology", "");
   if (!topo.empty()) {
@@ -386,15 +418,6 @@ void apply_cluster_options(core::ScenarioConfig& cfg, const Args& args) {
     cfg.cluster.n_client_nodes = clients;
     cfg.cluster.n_oss = oss;
     cfg.cluster.osts_per_oss = osts;
-  }
-  if (args.options.count("lanes") != 0) {
-    const int lanes = args.get_int("lanes", 0);
-    if (lanes < 1) {
-      throw std::runtime_error(
-          "--lanes " + args.get("lanes", "") +
-          ": need at least 1 data lane (omit --lanes for the classic single engine)");
-    }
-    cfg.lanes = lanes;
   }
 }
 
@@ -438,8 +461,8 @@ int cmd_run(const Args& args) {
               sim::to_seconds(solo.target_body_duration()),
               sim::to_seconds(solo.target_completion),
               static_cast<unsigned long long>(solo.events_executed));
-  // The fingerprint line is what scripts diff to assert lane-count (and any
-  // other supposedly-neutral knob) changed nothing about the simulation.
+  // The fingerprint line is what scripts diff to assert that a
+  // supposedly-neutral knob changed nothing about the simulation.
   std::printf("solo trace fp: %016llx\n",
               static_cast<unsigned long long>(trace::trace_fingerprint(solo.trace)));
   if (!cfg.faults.empty()) print_fault_summary("solo", solo.trace);
@@ -464,8 +487,7 @@ int cmd_run(const Args& args) {
               sim::to_seconds(mixed.target_body_duration()),
               static_cast<double>(mixed.target_body_duration()) /
                   static_cast<double>(solo.target_body_duration()));
-  // Same diff anchor as the solo line: mitigated runs must fingerprint
-  // identically at every --lanes and --jobs count.
+  // Same diff anchor as the solo line.
   std::printf("noisy trace fp: %016llx\n",
               static_cast<unsigned long long>(trace::trace_fingerprint(mixed.trace)));
   if (!cfg.faults.empty()) print_fault_summary("noisy", mixed.trace);
@@ -1292,6 +1314,7 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   const Args args = parse(argc, argv);
   try {
+    check_options(cmd, args);
     if (cmd == "workloads") return cmd_workloads(args);
     if (cmd == "run") return cmd_run(args);
     if (cmd == "campaign") return cmd_campaign(args);
