@@ -4,8 +4,9 @@
 # the qif::exec thread pool, the campaign task graph, and the
 # thread-parallel GEMM path, an AddressSanitizer + UndefinedBehaviorSanitizer
 # leg over the .qds corruption-fuzz and reader tests (so hostile bytes can
-# never turn into a silent out-of-bounds read) and over the campaign tests
-# (so a run stopped at its horizon frees every in-flight op), and the
+# never turn into a silent out-of-bounds read), over the campaign tests
+# (so a run stopped at its horizon frees every in-flight op) and over the
+# PFS RPC path (pooled closures, call slots and teardown), and the
 # pipeline benchmark's own tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -58,7 +59,7 @@ cmake --build build-tsan -j --target test_exec test_core test_ml_gemm test_ml_tr
 ./build-tsan/tests/test_ctrl_controller
 ./build-tsan/tests/test_campaign_mitigate
 
-echo "=== tier-1: corruption fuzz and campaign leaks under ASan+UBSan ==="
+echo "=== tier-1: corruption fuzz, campaign leaks and the PFS RPC path under ASan+UBSan ==="
 # QIF_SANITIZE=address builds with ASan, LeakSanitizer and UBSan (any UB
 # report aborts the test).
 # test_qds_fuzz covers the buffered reader, the mmap path (QdsMmapFuzz),
@@ -69,9 +70,15 @@ echo "=== tier-1: corruption fuzz and campaign leaks under ASan+UBSan ==="
 # hostile bytes into clean errors, never out-of-bounds reads.
 # test_exec and test_campaign_faults stop scenarios at their horizon with
 # data ops still in flight; LeakSanitizer checks that each is freed.
+# The PFS tests drive the RPC path's pooled continuations: fabric call
+# slots (freed on delivery and on every loss-gate drop), the MDS task slab,
+# the client's DataOp records and retry stragglers, and cluster teardown
+# with closures still parked in slabs while the engine outlives them.
 cmake -B build-asan -S . -DQIF_SANITIZE=address
 cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
-  test_qwp test_replay test_exec test_campaign_faults
+  test_qwp test_replay test_exec test_campaign_faults \
+  test_pfs_network test_pfs_client test_pfs_faults test_pfs_disk \
+  test_pfs_writeback test_pfs_mdt test_sim_golden
 ./build-asan/tests/test_qds_fuzz
 ./build-asan/tests/test_export
 ./build-asan/tests/test_streaming
@@ -79,6 +86,13 @@ cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
 ./build-asan/tests/test_replay
 ./build-asan/tests/test_exec
 ./build-asan/tests/test_campaign_faults
+./build-asan/tests/test_pfs_network
+./build-asan/tests/test_pfs_client
+./build-asan/tests/test_pfs_faults
+./build-asan/tests/test_pfs_disk
+./build-asan/tests/test_pfs_writeback
+./build-asan/tests/test_pfs_mdt
+./build-asan/tests/test_sim_golden
 
 echo "=== tier-1: benchmark smoke ==="
 # Engine smoke: the event-engine, FairLink and scenario micro-benchmarks

@@ -1,6 +1,7 @@
 #include "qif/core/scenario.hpp"
 
 #include <optional>
+#include <utility>
 
 #include "qif/monitor/client_monitor.hpp"
 #include "qif/monitor/server_monitor.hpp"
@@ -108,7 +109,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   result.target_completion = target_job.completion_time();
   result.target_body_start = target_job.body_start_time();
   result.events_executed = simulation.events_executed();
-  result.trace = cluster.trace_log();
+  // Move the trace out instead of deep-copying every record.  The observer
+  // refers to client_mon, which dies with this frame, so it must not travel
+  // with the log.
+  cluster.trace_log().set_observer(nullptr);
+  result.trace = std::move(cluster.trace_log());
   if (mitigator.has_value()) {
     result.ctrl = mitigator->report(result.trace, config.window);
   }

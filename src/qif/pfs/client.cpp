@@ -56,31 +56,31 @@ void PfsClient::emit(OpType type, FileId file, std::int64_t offset, std::int64_t
 // re-issues, up to rpc_max_retries re-issues, after which the op fails with
 // EIO.  Responses from superseded attempts are recognised by attempt number
 // and dropped — at-least-once semantics, like a real RPC resend (server
-// work is idempotent here).  Each attempt carries its own copy of the serve
-// closure, so a straggler arriving after the op settles (which clears
-// op->serve) simply re-executes idempotent server work, as a real resent RPC
-// would.  With rpc_deadline == 0 none of this exists: the RPC goes straight
-// to the fabric, scheduling no timer and drawing no randomness, so healthy
-// runs replay the exact pre-fault event sequence.
+// work is idempotent here).  Every attempt serves through the RetryOp, which
+// keeps `serve` until the last attempt's fabric call ends, so a straggler
+// arriving after the op settles simply re-executes idempotent server work,
+// as a real resent RPC would.  With rpc_deadline == 0 none of this exists:
+// the RPC goes straight to the fabric, scheduling no timer and drawing no
+// randomness, so healthy runs replay the exact pre-fault event sequence.
 // ---------------------------------------------------------------------------
 
+template <typename ServeFn, typename DoneFn>
 void PfsClient::rpc_faultable(int server_port, std::int64_t request_payload,
-                              std::int64_t response_payload,
-                              std::function<void(std::function<void()>)> serve,
-                              std::function<void(bool)> cb,
-                              std::shared_ptr<OpFaultStats> stats) {
+                              std::int64_t response_payload, ServeFn&& serve, DoneFn&& cb,
+                              OpFaultStats* stats) {
   if (params_.rpc_deadline <= 0) {
     cluster_.net().rpc(node_, server_port, request_payload, response_payload,
-                       std::move(serve), [cb = std::move(cb)] { cb(true); });
+                       std::forward<ServeFn>(serve),
+                       [cb = std::forward<DoneFn>(cb)]() mutable { cb(true); });
     return;
   }
   auto op = std::make_shared<RetryOp>();
   op->server_port = server_port;
   op->request_payload = request_payload;
   op->response_payload = response_payload;
-  op->serve = std::move(serve);
-  op->cb = std::move(cb);
-  op->stats = std::move(stats);
+  op->serve = std::forward<ServeFn>(serve);
+  op->cb = std::forward<DoneFn>(cb);
+  op->stats = stats;
   issue_attempt(std::move(op));
 }
 
@@ -92,11 +92,10 @@ void PfsClient::issue_attempt(std::shared_ptr<RetryOp> op) {
     if (op->stats) ++op->stats->timeouts;
     if (op->attempt > params_.rpc_max_retries) {
       // Retries exhausted: surface EIO.  Late responses are ignored by the
-      // done flag; stragglers still in flight re-run their own serve copy.
+      // done flag; stragglers still in flight re-run serve through the op.
       op->done = true;
       if (op->stats) op->stats->failed = true;
       auto cb = std::move(op->cb);
-      op->serve = nullptr;
       cb(false);
       return;
     }
@@ -114,9 +113,7 @@ void PfsClient::issue_attempt(std::shared_ptr<RetryOp> op) {
   });
   cluster_.net().rpc(
       node_, op->server_port, op->request_payload, op->response_payload,
-      // Value copy per attempt: settling clears op->serve, and a straggler
-      // still in flight must keep its own copy.
-      [serve = op->serve](std::function<void()> done) { serve(std::move(done)); },
+      [op](RpcDone done) { op->serve(done); },
       [this, op, my_attempt] {
         if (op->done || op->attempt != my_attempt) return;  // stale response
         op->done = true;
@@ -125,7 +122,6 @@ void PfsClient::issue_attempt(std::shared_ptr<RetryOp> op) {
           op->timer = sim::kInvalidEvent;
         }
         auto cb = std::move(op->cb);
-        op->serve = nullptr;
         cb(true);
       });
 }
@@ -143,14 +139,14 @@ void PfsClient::create(const std::string& path, int stripe_count, OpenCallback c
   auto stats = make_fault_stats();
   rpc_faultable(
       cluster_.mds_port(), /*request=*/256, /*response=*/256,
-      [this, path, stripe_count, stripe_hint, result](std::function<void()> done) {
+      [this, path = path, stripe_count, stripe_hint, result](RpcDone done) {
         cluster_.mdt().create(path, stripe_count, stripe_hint,
-                              [result, done = std::move(done)](const MetaResult& r) {
+                              [result, done](const MetaResult& r) {
                                 *result = r;
                                 done();
                               });
       },
-      [this, path, stripe_count, stripe_hint, result, start, cb = std::move(cb),
+      [this, path = path, stripe_count, stripe_hint, result, start, cb = std::move(cb),
        stats](bool ok) {
         emit(OpType::kCreate, ok ? result->file : kInvalidFile, 0, 0, start,
              {trace::kMdtTarget}, stats.get(), path, stripe_count, stripe_hint);
@@ -160,7 +156,7 @@ void PfsClient::create(const std::string& path, int stripe_count, OpenCallback c
           cb(FileHandle{});  // EIO: invalid handle, caller's ops degenerate
         }
       },
-      stats);
+      stats.get());
 }
 
 void PfsClient::open(const std::string& path, OpenCallback cb) {
@@ -169,19 +165,19 @@ void PfsClient::open(const std::string& path, OpenCallback cb) {
   auto stats = make_fault_stats();
   rpc_faultable(
       cluster_.mds_port(), 256, 256,
-      [this, path, result](std::function<void()> done) {
-        cluster_.mdt().open(path, [result, done = std::move(done)](const MetaResult& r) {
+      [this, path = path, result](RpcDone done) {
+        cluster_.mdt().open(path, [result, done](const MetaResult& r) {
           *result = r;
           done();
         });
       },
-      [this, path, result, start, cb = std::move(cb), stats](bool ok) {
+      [this, path = path, result, start, cb = std::move(cb), stats](bool ok) {
         emit(OpType::kOpen, ok ? result->file : kInvalidFile, 0, 0, start,
              {trace::kMdtTarget}, stats.get(), path);
         cb(FileHandle{ok && result->ok ? result->file : kInvalidFile, result->layout,
                       result->size});
       },
-      stats);
+      stats.get());
 }
 
 void PfsClient::stat(const std::string& path, StatCallback cb) {
@@ -190,18 +186,18 @@ void PfsClient::stat(const std::string& path, StatCallback cb) {
   auto stats = make_fault_stats();
   rpc_faultable(
       cluster_.mds_port(), 256, 256,
-      [this, path, result](std::function<void()> done) {
-        cluster_.mdt().stat(path, [result, done = std::move(done)](const MetaResult& r) {
+      [this, path = path, result](RpcDone done) {
+        cluster_.mdt().stat(path, [result, done](const MetaResult& r) {
           *result = r;
           done();
         });
       },
-      [this, path, result, start, cb = std::move(cb), stats](bool ok) {
+      [this, path = path, result, start, cb = std::move(cb), stats](bool ok) {
         emit(OpType::kStat, ok ? result->file : kInvalidFile, 0, 0, start,
              {trace::kMdtTarget}, stats.get(), path);
         cb(ok && result->ok, result->size);
       },
-      stats);
+      stats.get());
 }
 
 void PfsClient::close(const FileHandle& fh, DataCallback cb) {
@@ -214,19 +210,20 @@ void PfsClient::close(const FileHandle& fh, DataCallback cb) {
       it != small_dirty_.end() && !it->second.oversized && it->second.bytes > 0) {
     const SmallDirty dirty = it->second;
     small_dirty_.erase(it);
+    OpFaultStats* const raw_stats = stats.get();
     rpc_faultable(
         cluster_.oss_port(dirty.ost), dirty.bytes, 0,
-        [this, dirty](std::function<void()> done) {
-          cluster_.ost(dirty.ost).write_sync(dirty.disk_offset, dirty.bytes, std::move(done));
+        [this, dirty](RpcDone done) {
+          cluster_.ost(dirty.ost).write_sync(dirty.disk_offset, dirty.bytes, done);
         },
-        [this, file = fh.file, start, ost = dirty.ost, stats,
+        [this, file = fh.file, start, ost = dirty.ost, stats = std::move(stats),
          cb = std::move(cb)](bool) mutable {
           // Whether or not the flush succeeded, the namespace close still
           // goes to the MDS (its own attempt budget, shared op stats).
           finish_close(file, start, {ost, trace::kMdtTarget}, std::move(stats),
                        std::move(cb));
         },
-        stats);
+        raw_stats);
     return;
   }
   small_dirty_.erase(fh.file);
@@ -236,17 +233,18 @@ void PfsClient::close(const FileHandle& fh, DataCallback cb) {
 void PfsClient::finish_close(FileId file, sim::SimTime start,
                              std::vector<std::int32_t> targets,
                              std::shared_ptr<OpFaultStats> faults, DataCallback cb) {
+  OpFaultStats* const raw_faults = faults.get();
   rpc_faultable(
       cluster_.mds_port(), 256, 256,
-      [this, file](std::function<void()> done) {
-        cluster_.mdt().close(file, [done = std::move(done)](const MetaResult&) { done(); });
+      [this, file](RpcDone done) {
+        cluster_.mdt().close(file, [done](const MetaResult&) { done(); });
       },
-      [this, file, start, targets = std::move(targets), faults,
-       cb = std::move(cb)](bool) {
-        emit(OpType::kClose, file, 0, 0, start, targets, faults.get());
+      [this, file, start, targets = std::move(targets), faults = std::move(faults),
+       cb = std::move(cb)](bool) mutable {
+        emit(OpType::kClose, file, 0, 0, start, std::move(targets), faults.get());
         cb();
       },
-      faults);
+      raw_faults);
 }
 
 void PfsClient::note_small_write(const FileHandle& fh, std::int64_t offset, std::int64_t len) {
@@ -266,15 +264,15 @@ void PfsClient::unlink(const std::string& path, DataCallback cb) {
   auto stats = make_fault_stats();
   rpc_faultable(
       cluster_.mds_port(), 256, 256,
-      [this, path](std::function<void()> done) {
-        cluster_.mdt().unlink(path, [done = std::move(done)](const MetaResult&) { done(); });
+      [this, path = path](RpcDone done) {
+        cluster_.mdt().unlink(path, [done](const MetaResult&) { done(); });
       },
-      [this, path, start, stats, cb = std::move(cb)](bool) {
+      [this, path = path, start, stats, cb = std::move(cb)](bool) {
         emit(OpType::kUnlink, kInvalidFile, 0, 0, start, {trace::kMdtTarget}, stats.get(),
              path);
         cb();
       },
-      stats);
+      stats.get());
 }
 
 void PfsClient::mkdir(const std::string& path, DataCallback cb) {
@@ -282,15 +280,15 @@ void PfsClient::mkdir(const std::string& path, DataCallback cb) {
   auto stats = make_fault_stats();
   rpc_faultable(
       cluster_.mds_port(), 256, 256,
-      [this, path](std::function<void()> done) {
-        cluster_.mdt().mkdir(path, [done = std::move(done)](const MetaResult&) { done(); });
+      [this, path = path](RpcDone done) {
+        cluster_.mdt().mkdir(path, [done](const MetaResult&) { done(); });
       },
-      [this, path, start, stats, cb = std::move(cb)](bool) {
+      [this, path = path, start, stats, cb = std::move(cb)](bool) {
         emit(OpType::kMkdir, kInvalidFile, 0, 0, start, {trace::kMdtTarget}, stats.get(),
              path);
         cb();
       },
-      stats);
+      stats.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -307,6 +305,21 @@ void PfsClient::write(const FileHandle& fh, std::int64_t offset, std::int64_t le
   data_op(/*is_write=*/true, fh, offset, len, std::move(cb));
 }
 
+PfsClient::DataOp* PfsClient::acquire_data_op() {
+  if (free_data_ops_.empty()) {
+    data_ops_.push_back(std::make_unique<DataOp>());
+    return data_ops_.back().get();
+  }
+  DataOp* op = free_data_ops_.back();
+  free_data_ops_.pop_back();
+  return op;
+}
+
+void PfsClient::release_data_op(DataOp* op) {
+  op->cb = nullptr;
+  free_data_ops_.push_back(op);
+}
+
 void PfsClient::data_op(bool is_write, const FileHandle& fh, std::int64_t offset,
                         std::int64_t len, DataCallback cb) {
   const sim::SimTime start = sim_.now();
@@ -321,121 +334,116 @@ void PfsClient::data_op(bool is_write, const FileHandle& fh, std::int64_t offset
     return;
   }
 
+  DataOp* op = acquire_data_op();
+  op->is_write = is_write;
+  op->file = fh.file;
+  op->offset = offset;
+  op->len = len;
+  op->start = start;
+  op->stats = OpFaultStats{};
+  op->cb = std::move(cb);
+  op->drained = false;  // throttle_wait is already false on a released record
   // Chunk the stripe extents to the RPC size cap.
-  struct Chunk {
-    OstId ost;
-    std::int64_t disk_offset;
-    std::int64_t len;
-  };
-  auto chunks = std::make_shared<std::vector<Chunk>>();
-  std::vector<std::int32_t> targets;
+  op->chunks.clear();
+  op->targets.clear();
   for (const Extent& e : fh.layout->map(offset, len)) {
     std::int64_t pos = 0;
     while (pos < e.len) {
       const std::int64_t take = std::min(params_.max_rpc_bytes, e.len - pos);
-      chunks->push_back(Chunk{e.ost, e.disk_offset + pos, take});
+      op->chunks.push_back(Chunk{e.ost, e.disk_offset + pos, take});
       pos += take;
     }
-    if (std::find(targets.begin(), targets.end(), e.ost) == targets.end()) {
-      targets.push_back(e.ost);
+    if (std::find(op->targets.begin(), op->targets.end(), e.ost) == op->targets.end()) {
+      op->targets.push_back(e.ost);
     }
   }
-
-  struct OpState {
-    std::size_t next = 0;
-    std::size_t outstanding = 0;
-    std::size_t remaining;
-    bool throttle_wait = false;  ///< a gate wake-up event is pending
-    explicit OpState(std::size_t n) : remaining(n) {}
-  };
+  op->next = 0;
+  op->outstanding = 0;
+  op->remaining = op->chunks.size();
   if (is_write) note_small_write(fh, offset, len);
+  pump(op);
+}
 
-  auto stats = make_fault_stats();  // shared by every chunk RPC of this op
-  auto state = std::make_shared<OpState>(chunks->size());
-  auto finish = [this, is_write, fh, offset, len, start, stats,
-                 targets = std::move(targets), cb = std::move(cb)]() {
-    // A failed op never reached the server coherently; don't grow the file.
-    if (is_write && !(stats && stats->failed)) {
-      cluster_.mdt().note_size(fh.file, offset + len);
+// Issue chunks with at most max_rpcs_in_flight outstanding; every chunk
+// completion re-enters the pump.  With an admission gate the pump
+// additionally (a) clamps the window to the gate's concurrency cap, re-read
+// before every chunk so a decision epoch takes effect mid-op, and (b) asks
+// the gate before issuing each chunk — strictly before rpc_faultable, so a
+// throttled chunk never arms a deadline timer and an admission delay can
+// never read as a timeout or retry.  A refused ask parks the pump behind one
+// wake-up event (single waiter per op); ungated clients take the exact
+// pre-gate code path.
+void PfsClient::pump(DataOp* op) {
+  while (op->next < op->chunks.size()) {
+    std::size_t cap = static_cast<std::size_t>(params_.max_rpcs_in_flight);
+    if (gate_ != nullptr) {
+      cap = static_cast<std::size_t>(
+          std::clamp(gate_->concurrency_cap(), 1, params_.max_rpcs_in_flight));
     }
-    emit(is_write ? OpType::kWrite : OpType::kRead, fh.file, offset, len, start, targets,
-         stats.get());
-    cb();
-  };
-
-  // Issue chunks with at most max_rpcs_in_flight outstanding.  `pump` is
-  // stored in a shared_ptr so completion callbacks can re-enter it; the pump
-  // itself holds only a weak reference, while every outstanding chunk
-  // completion and the pending throttle wake-up hold strong ones, so an op
-  // still in flight when the run stops is freed with the engine's pending
-  // events instead of leaking through a self-reference cycle.  With an
-  // admission gate the pump additionally (a) clamps the window to the gate's
-  // concurrency cap, re-read before every chunk so a decision epoch takes
-  // effect mid-op, and (b) asks the gate before issuing each chunk —
-  // strictly before rpc_faultable, so a throttled chunk never arms a
-  // deadline timer and an admission delay can never read as a timeout or
-  // retry.  A refused ask parks the pump behind one wake-up event (single
-  // waiter per op); ungated clients take the exact pre-gate code path.
-  auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, is_write, chunks, state, stats, weak = std::weak_ptr(pump),
-           finish = std::move(finish)]() {
-    const auto self = weak.lock();  // the caller holds a strong reference
-    while (state->next < chunks->size()) {
-      std::size_t cap = static_cast<std::size_t>(params_.max_rpcs_in_flight);
-      if (gate_ != nullptr) {
-        cap = static_cast<std::size_t>(
-            std::clamp(gate_->concurrency_cap(), 1, params_.max_rpcs_in_flight));
-      }
-      if (state->outstanding >= cap) break;
-      const Chunk c = (*chunks)[state->next];
-      const int port = cluster_.oss_port(c.ost);
-      if (gate_ != nullptr) {
-        const sim::SimDuration wait = gate_->acquire(port, c.len, sim_.now());
-        if (wait > 0) {
-          if (!state->throttle_wait) {
-            state->throttle_wait = true;
-            sim_.schedule_after(wait, [state, self] {
-              state->throttle_wait = false;
-              // The op may have drained (EIO path) while we slept.
-              if (*self) (*self)();
-            });
-          }
-          return;
+    if (op->outstanding >= cap) break;
+    const Chunk c = op->chunks[op->next];
+    const int port = cluster_.oss_port(c.ost);
+    if (gate_ != nullptr) {
+      const sim::SimDuration wait = gate_->acquire(port, c.len, sim_.now());
+      if (wait > 0) {
+        if (!op->throttle_wait) {
+          op->throttle_wait = true;
+          sim_.schedule_after(wait, [this, op] { throttle_wake(op); });
         }
+        return;
       }
-      ++state->next;
-      ++state->outstanding;
-      const sim::SimTime issued = sim_.now();
-      const std::int64_t req_payload = is_write ? c.len : 0;
-      const std::int64_t resp_payload = is_write ? 0 : c.len;
-      rpc_faultable(
-          port, req_payload, resp_payload,
-          [this, is_write, c](std::function<void()> done) {
-            if (is_write) {
-              cluster_.ost(c.ost).write(c.disk_offset, c.len, std::move(done));
-            } else {
-              cluster_.ost(c.ost).read(c.disk_offset, c.len, std::move(done));
-            }
-          },
-          [this, state, self, finish, port, len = c.len, issued](bool) {
-            // ok=false already marked stats->failed; the op still drains its
-            // remaining chunks so the completion count stays exact.
-            if (gate_ != nullptr) {
-              gate_->on_chunk_complete(port, len, sim_.now() - issued);
-            }
-            --state->outstanding;
-            --state->remaining;
-            if (state->remaining == 0) {
-              finish();
-              *self = nullptr;  // drained: a pending wake-up finds no pump
-            } else {
-              (*self)();
-            }
-          },
-          stats);
     }
-  };
-  (*pump)();
+    ++op->next;
+    ++op->outstanding;
+    const sim::SimTime issued = sim_.now();
+    const bool is_write = op->is_write;
+    rpc_faultable(
+        port, is_write ? c.len : 0, is_write ? 0 : c.len,
+        [this, is_write, c](RpcDone done) {
+          if (is_write) {
+            cluster_.ost(c.ost).write(c.disk_offset, c.len, done);
+          } else {
+            cluster_.ost(c.ost).read(c.disk_offset, c.len, done);
+          }
+        },
+        [this, op, port, len = c.len, issued](bool) { chunk_done(op, port, len, issued); },
+        &op->stats);
+  }
+}
+
+void PfsClient::throttle_wake(DataOp* op) {
+  op->throttle_wait = false;
+  // The op may have drained meanwhile (a completion's pump was admitted
+  // and issued the rest); its record waited for this event to retire.
+  if (op->drained) {
+    release_data_op(op);
+  } else {
+    pump(op);
+  }
+}
+
+void PfsClient::chunk_done(DataOp* op, int port, std::int64_t len, sim::SimTime issued) {
+  // ok=false already marked stats.failed; the op still drains its remaining
+  // chunks so the completion count stays exact.
+  if (gate_ != nullptr) gate_->on_chunk_complete(port, len, sim_.now() - issued);
+  --op->outstanding;
+  if (--op->remaining > 0) {
+    pump(op);
+    return;
+  }
+  // A failed op never reached the server coherently; don't grow the file.
+  if (op->is_write && !op->stats.failed) {
+    cluster_.mdt().note_size(op->file, op->offset + op->len);
+  }
+  emit(op->is_write ? OpType::kWrite : OpType::kRead, op->file, op->offset, op->len,
+       op->start, std::move(op->targets), &op->stats);
+  DataCallback cb = std::move(op->cb);
+  if (op->throttle_wait) {
+    op->drained = true;  // the pending wake-up retires the record
+  } else {
+    release_data_op(op);
+  }
+  cb();
 }
 
 }  // namespace qif::pfs

@@ -8,6 +8,12 @@
 // completed operation emits one DXT-style OpRecord to the run's TraceLog,
 // which is exactly the instrumentation point of the paper's modified
 // Darshan.
+//
+// The data path is typed end to end: a data op is one pooled DataOp record
+// (chunks, targets, fault stats, callback, in-flight window), and each
+// chunk RPC hands the fabric two small inline closures — a serve that
+// captures the chunk and a completion that captures {this, op, port, len,
+// issued} — so no std::function is built per chunk.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +24,9 @@
 #include <vector>
 
 #include "qif/pfs/layout.hpp"
+#include "qif/pfs/network.hpp"
 #include "qif/pfs/types.hpp"
+#include "qif/sim/inline_task.hpp"
 #include "qif/sim/rng.hpp"
 #include "qif/sim/simulation.hpp"
 #include "qif/trace/op_record.hpp"
@@ -123,17 +131,46 @@ class PfsClient {
     bool failed = false;
   };
 
-  /// One RPC riding the timeout/retry state machine.
+  /// One RPC riding the timeout/retry state machine.  `serve` stays for
+  /// the RPC's whole life: every attempt runs it through the op, so a
+  /// straggler landing after the op settled re-runs idempotent server work.
   struct RetryOp {
     int server_port = 0;
     std::int64_t request_payload = 0;
     std::int64_t response_payload = 0;
-    std::function<void(std::function<void()>)> serve;
-    std::function<void(bool ok)> cb;
-    std::shared_ptr<OpFaultStats> stats;
-    int attempt = 0;                        ///< attempts issued so far
-    bool done = false;                      ///< response accepted or EIO'd
+    NetworkFabric::Serve serve;
+    sim::InlineFn<void(bool ok)> cb;
+    OpFaultStats* stats = nullptr;  ///< only touched before the op settles
+    int attempt = 0;                ///< attempts issued so far
+    bool done = false;              ///< response accepted or EIO'd
     sim::EventId timer = sim::kInvalidEvent;
+  };
+
+  /// One stripe-chunk RPC of a data op.
+  struct Chunk {
+    OstId ost;
+    std::int64_t disk_offset;
+    std::int64_t len;
+  };
+
+  /// One POSIX data op from issue to completion.  Records are pooled per
+  /// client (recycled once the op has drained), so a chunk completion
+  /// captures a plain pointer and the chunk vector keeps its capacity.
+  struct DataOp {
+    bool is_write = false;
+    FileId file = kInvalidFile;
+    std::int64_t offset = 0;
+    std::int64_t len = 0;
+    sim::SimTime start = 0;
+    std::vector<Chunk> chunks;
+    std::vector<std::int32_t> targets;  ///< moved into the op's record
+    OpFaultStats stats;                 ///< shared by every chunk RPC
+    DataCallback cb;
+    std::size_t next = 0;         ///< first chunk not yet issued
+    std::size_t outstanding = 0;  ///< chunks issued and not yet completed
+    std::size_t remaining = 0;    ///< chunks not yet completed
+    bool throttle_wait = false;   ///< a gate wake-up event is pending
+    bool drained = false;         ///< completed while a wake-up was pending
   };
 
   /// `path`/`stripes`/`stripe_hint` are the replay-metadata columns of the
@@ -144,18 +181,25 @@ class PfsClient {
             std::int32_t stripes = 0, std::int32_t stripe_hint = -1);
   void data_op(bool is_write, const FileHandle& fh, std::int64_t offset, std::int64_t len,
                DataCallback cb);
+  /// Issues chunks of `op` while its in-flight window (and the admission
+  /// gate, if any) allows.
+  void pump(DataOp* op);
+  void chunk_done(DataOp* op, int port, std::int64_t len, sim::SimTime issued);
+  void throttle_wake(DataOp* op);
+  DataOp* acquire_data_op();
+  void release_data_op(DataOp* op);
   void note_small_write(const FileHandle& fh, std::int64_t offset, std::int64_t len);
   void finish_close(FileId file, sim::SimTime start, std::vector<std::int32_t> targets,
                     std::shared_ptr<OpFaultStats> faults, DataCallback cb);
 
   /// Runs one RPC under the timeout/retry machine when `rpc_deadline` > 0;
-  /// with a zero deadline it degrades to a plain fabric RPC (no timer
-  /// events, no RNG draws) and always reports ok=true.
+  /// with a zero deadline it hands `serve` and `cb` straight to the fabric
+  /// (no timer events, no RNG draws) and always reports ok=true.  `serve`
+  /// is invocable as serve(RpcDone), `cb` as cb(bool ok).
+  template <typename ServeFn, typename DoneFn>
   void rpc_faultable(int server_port, std::int64_t request_payload,
-                     std::int64_t response_payload,
-                     std::function<void(std::function<void()>)> serve,
-                     std::function<void(bool ok)> cb,
-                     std::shared_ptr<OpFaultStats> stats);
+                     std::int64_t response_payload, ServeFn&& serve, DoneFn&& cb,
+                     OpFaultStats* stats);
   void issue_attempt(std::shared_ptr<RetryOp> op);
   /// Allocates per-op fault stats when the machinery is on, nullptr when off.
   [[nodiscard]] std::shared_ptr<OpFaultStats> make_fault_stats() {
@@ -170,6 +214,8 @@ class PfsClient {
   std::int64_t next_op_index_ = 0;
   ClientParams params_;
   std::map<FileId, SmallDirty> small_dirty_;
+  std::vector<std::unique_ptr<DataOp>> data_ops_;  ///< owns every DataOp record
+  std::vector<DataOp*> free_data_ops_;
   sim::Rng retry_rng_;
   AdmissionGate* gate_ = nullptr;
   std::int64_t total_retries_ = 0;

@@ -25,7 +25,7 @@ void DiskModel::settle_time_integrals() {
 }
 
 bool DiskModel::try_merge(Queue& q, bool is_write, std::int64_t offset, std::int64_t len,
-                          std::function<void()>& on_complete) {
+                          sim::InlineTask& on_complete) {
   // Back merge: an existing request ends exactly where the new one starts.
   if (auto it = q.lower_bound(offset); it != q.begin()) {
     auto prev = std::prev(it);
@@ -54,7 +54,7 @@ bool DiskModel::try_merge(Queue& q, bool is_write, std::int64_t offset, std::int
 }
 
 void DiskModel::submit(bool is_write, std::int64_t offset, std::int64_t len,
-                       std::function<void()> on_complete) {
+                       sim::InlineTask on_complete) {
   settle_time_integrals();
   Queue& q = is_write ? write_queue_ : read_queue_;
   counters_.queued_requests += 1;

@@ -24,12 +24,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "qif/sim/inline_task.hpp"
 #include "qif/sim/rng.hpp"
 #include "qif/sim/simulation.hpp"
 
@@ -85,7 +85,7 @@ class DiskModel {
   /// the media transfer finishes.  Requests may be merged with physically
   /// contiguous queued requests of the same kind.
   void submit(bool is_write, std::int64_t offset, std::int64_t len,
-              std::function<void()> on_complete);
+              sim::InlineTask on_complete);
 
   /// Snapshot of the cumulative counters, with time-integrals settled to
   /// the current instant.
@@ -115,14 +115,14 @@ class DiskModel {
     std::int64_t offset = 0;
     std::int64_t len = 0;
     sim::SimTime arrival = 0;
-    std::vector<std::function<void()>> completions;  // >1 when merged
+    std::vector<sim::InlineTask> completions;  // >1 when merged
   };
   // Keyed by start offset for elevator order and O(log n) merge lookup.
   using Queue = std::multimap<std::int64_t, Request>;
 
   void settle_time_integrals();
   bool try_merge(Queue& q, bool is_write, std::int64_t offset, std::int64_t len,
-                 std::function<void()>& on_complete);
+                 sim::InlineTask& on_complete);
   void maybe_dispatch();
   Queue::iterator pick_elevator(Queue& q);
   sim::SimDuration service_time(const Request& req);

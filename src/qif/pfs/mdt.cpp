@@ -26,41 +26,60 @@ std::string MdtServer::parent_dir(const std::string& path) const {
 
 void MdtServer::create(const std::string& path, int stripe_count, int stripe_hint,
                        Callback cb) {
-  enqueue(Task{Kind::kCreate, path, kInvalidFile, stripe_count, stripe_hint, sim_.now(),
-               std::move(cb)});
+  enqueue(Kind::kCreate, path, kInvalidFile, stripe_count, stripe_hint, std::move(cb));
 }
 void MdtServer::open(const std::string& path, Callback cb) {
-  enqueue(Task{Kind::kOpen, path, kInvalidFile, 0, -1, sim_.now(), std::move(cb)});
+  enqueue(Kind::kOpen, path, kInvalidFile, 0, -1, std::move(cb));
 }
 void MdtServer::stat(const std::string& path, Callback cb) {
-  enqueue(Task{Kind::kStat, path, kInvalidFile, 0, -1, sim_.now(), std::move(cb)});
+  enqueue(Kind::kStat, path, kInvalidFile, 0, -1, std::move(cb));
 }
 void MdtServer::close(FileId file, Callback cb) {
-  enqueue(Task{Kind::kClose, {}, file, 0, -1, sim_.now(), std::move(cb)});
+  enqueue(Kind::kClose, {}, file, 0, -1, std::move(cb));
 }
 void MdtServer::unlink(const std::string& path, Callback cb) {
-  enqueue(Task{Kind::kUnlink, path, kInvalidFile, 0, -1, sim_.now(), std::move(cb)});
+  enqueue(Kind::kUnlink, path, kInvalidFile, 0, -1, std::move(cb));
 }
 void MdtServer::mkdir(const std::string& path, Callback cb) {
-  enqueue(Task{Kind::kMkdir, path, kInvalidFile, 0, -1, sim_.now(), std::move(cb)});
+  enqueue(Kind::kMkdir, path, kInvalidFile, 0, -1, std::move(cb));
 }
 
 void MdtServer::note_size(FileId file, std::int64_t new_size) {
-  if (auto it = by_id_.find(file); it != by_id_.end()) {
-    it->second->size = std::max(it->second->size, new_size);
+  if (file < 0 || static_cast<std::size_t>(file) >= by_id_.size()) return;
+  if (Inode* ino = by_id_[static_cast<std::size_t>(file)]) {
+    ino->size = std::max(ino->size, new_size);
   }
 }
 
-void MdtServer::enqueue(Task t) {
+void MdtServer::enqueue(Kind kind, const std::string& path, FileId file, int stripe_count,
+                        int stripe_hint, Callback cb) {
+  std::uint32_t id;
+  if (!free_tasks_.empty()) {
+    id = free_tasks_.back();
+    free_tasks_.pop_back();
+  } else {
+    id = static_cast<std::uint32_t>(tasks_.size());
+    tasks_.emplace_back();
+  }
+  Task& t = tasks_[id];
+  t.kind = kind;
+  t.path = path;  // reuses the recycled slot's string capacity
+  t.file = file;
+  t.stripe_count = stripe_count;
+  t.stripe_hint = stripe_hint;
+  t.arrival = sim_.now();
+  t.cb = std::move(cb);
+  t.result = MetaResult{};
   counters_.queued_requests += 1;
-  queue_.push_back(std::move(t));
+  queue_.push_back(id);
   dispatch();
 }
 
 void MdtServer::dispatch() {
   while (busy_threads_ < params_.service_threads && !queue_.empty()) {
-    Task t = std::move(queue_.front());
+    const std::uint32_t id = queue_.front();
     queue_.pop_front();
+    const Task& t = tasks_[id];
     counters_.queue_wait_total += sim_.now() - t.arrival;
     ++busy_threads_;
     sim::SimDuration cost = cpu_cost(t.kind);
@@ -69,12 +88,13 @@ void MdtServer::dispatch() {
     const std::string dir = t.path.empty() ? std::string{} : parent_dir(t.path);
     if (!dir.empty()) {
       std::int64_t siblings = 0;
-      for (const auto& q : queue_) {
-        if (!q.path.empty() && parent_dir(q.path) == dir) ++siblings;
+      for (const std::uint32_t q : queue_) {
+        const std::string& qpath = tasks_[q].path;
+        if (!qpath.empty() && parent_dir(qpath) == dir) ++siblings;
       }
       cost += siblings * params_.dirlock_penalty;
     }
-    sim_.schedule_after(cost, [this, t = std::move(t)]() mutable { run_task(std::move(t)); });
+    sim_.schedule_after(cost, [this, id] { run_task(id); });
   }
 }
 
@@ -93,8 +113,10 @@ sim::SimDuration MdtServer::cpu_cost(Kind k) {
                                            static_cast<double>(base) * jitter));
 }
 
-void MdtServer::run_task(Task t) {
-  MetaResult result;
+void MdtServer::run_task(std::uint32_t id) {
+  // No callback runs before finish_task, so `t` stays valid until then.
+  Task& t = tasks_[id];
+  MetaResult& result = t.result;
   bool modifying = false;
   bool needs_inode_read = false;
 
@@ -134,7 +156,10 @@ void MdtServer::run_task(Task t) {
         }
         ino.layout = FileLayout(ino.id, std::move(osts), default_stripe_size_,
                                 disk_.params().capacity_bytes);
-        by_id_[ino.id] = &ino;
+        if (by_id_.size() <= static_cast<std::size_t>(ino.id)) {
+          by_id_.resize(static_cast<std::size_t>(ino.id) + 1, nullptr);
+        }
+        by_id_[static_cast<std::size_t>(ino.id)] = &ino;
         dirs_[parent_dir(t.path)] += 1;
       }
       result.ok = true;
@@ -169,7 +194,7 @@ void MdtServer::run_task(Task t) {
       auto it = inodes_.find(t.path);
       if (it != inodes_.end()) {
         dirs_[parent_dir(t.path)] -= 1;
-        by_id_.erase(it->second.id);
+        by_id_[static_cast<std::size_t>(it->second.id)] = nullptr;
         inodes_.erase(it);
         result.ok = true;
       }
@@ -190,36 +215,37 @@ void MdtServer::run_task(Task t) {
         (disk_.params().capacity_bytes / 2);
     disk_.submit(/*is_write=*/false, std::max<std::int64_t>(block, 0),
                  params_.inode_block_bytes,
-                 [this, t = std::move(t), result, modifying]() mutable {
-                   finish_task(t, result, modifying);
-                 });
+                 [this, id, modifying] { finish_task(id, modifying); });
     return;
   }
-  finish_task(t, result, modifying);
+  finish_task(id, modifying);
 }
 
-void MdtServer::finish_task(const Task& t, MetaResult result, bool modifying) {
+void MdtServer::finish_task(std::uint32_t id, bool modifying) {
   if (modifying) {
     counters_.modifying_ops += 1;
     // The service thread stays pinned until the transaction's group commit
     // reaches the journal — the ldiskfs/jbd2 behaviour that lets a create
     // storm starve metadata *reads* of service threads (Table I row 3's
     // sensitivity to mdt write noise).
-    await_commit([this, result, cb = t.cb]() {
-      counters_.ops_completed += 1;
-      if (cb) cb(result);
-      --busy_threads_;
-      dispatch();
-    });
+    await_commit([this, id] { complete_task(id); });
     return;
   }
+  complete_task(id);
+}
+
+void MdtServer::complete_task(std::uint32_t id) {
   counters_.ops_completed += 1;
-  if (t.cb) t.cb(result);
+  // Free the slot before replying: the callback may enqueue new requests.
+  Callback cb = std::move(tasks_[id].cb);
+  const MetaResult result = tasks_[id].result;
+  free_tasks_.push_back(id);
+  if (cb) cb(result);
   --busy_threads_;
   dispatch();
 }
 
-void MdtServer::await_commit(std::function<void()> on_committed) {
+void MdtServer::await_commit(sim::InlineTask on_committed) {
   commit_waiters_.push_back(std::move(on_committed));
   if (static_cast<int>(commit_waiters_.size()) >= params_.commit_batch_limit) {
     // Batch full: commit immediately.
@@ -259,7 +285,7 @@ void MdtServer::do_commit() {
     // do_commit() synchronously and grow the pool, so index every access
     // and move each callback out before invoking it.
     for (std::size_t i = 0; i < commit_batch_pool_[b].size(); ++i) {
-      std::function<void()> fn = std::move(commit_batch_pool_[b][i]);
+      sim::InlineTask fn = std::move(commit_batch_pool_[b][i]);
       if (fn) fn();
     }
     commit_batch_pool_[b].clear();

@@ -11,13 +11,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "qif/pfs/disk.hpp"
 #include "qif/pfs/layout.hpp"
+#include "qif/sim/inline_task.hpp"
 #include "qif/sim/rng.hpp"
 #include "qif/sim/simulation.hpp"
 
@@ -64,7 +64,7 @@ struct MdtCounters {
 
 class MdtServer {
  public:
-  using Callback = std::function<void(const MetaResult&)>;
+  using Callback = sim::InlineFn<void(const MetaResult&)>;
 
   MdtServer(sim::Simulation& sim, MdtParams params, DiskParams disk_params,
             std::uint64_t seed, std::int64_t n_osts, std::int64_t default_stripe_size);
@@ -103,21 +103,28 @@ class MdtServer {
     std::int64_t size = 0;
     FileLayout layout;
   };
+  /// One namespace request from arrival to reply.  Tasks live in a
+  /// recycled slab (a task plus its callback is larger than an event's
+  /// inline budget), so every event on a task's path captures only
+  /// {this, task id}.
   struct Task {
-    Kind kind;
+    Kind kind = Kind::kStat;
     std::string path;
     FileId file = kInvalidFile;
     int stripe_count = 0;
     int stripe_hint = -1;
     sim::SimTime arrival = 0;
     Callback cb;
+    MetaResult result;  ///< filled by run_task, delivered at completion
   };
 
-  void enqueue(Task t);
+  void enqueue(Kind kind, const std::string& path, FileId file, int stripe_count,
+               int stripe_hint, Callback cb);
   void dispatch();
-  void run_task(Task t);
-  void finish_task(const Task& t, MetaResult result, bool modifying);
-  void await_commit(std::function<void()> on_committed);
+  void run_task(std::uint32_t id);
+  void finish_task(std::uint32_t id, bool modifying);
+  void complete_task(std::uint32_t id);
+  void await_commit(sim::InlineTask on_committed);
   void do_commit();
   sim::SimDuration cpu_cost(Kind k);
   std::string parent_dir(const std::string& path) const;
@@ -130,20 +137,24 @@ class MdtServer {
   std::int64_t default_stripe_size_;
 
   std::map<std::string, Inode> inodes_;
-  std::map<FileId, Inode*> by_id_;  ///< node pointers are stable in std::map
+  /// Indexed by FileId: ids are handed out densely from 1 and never
+  /// reused, and unlink nulls its entry (inodes_ node pointers are stable).
+  std::vector<Inode*> by_id_;
   std::map<std::string, std::int64_t> dirs_;  ///< dir path -> entry count
   FileId next_file_ = 1;
   std::vector<std::int64_t> ost_objects_;  ///< allocated objects per OST
 
-  std::deque<Task> queue_;
+  std::vector<Task> tasks_;
+  std::vector<std::uint32_t> free_tasks_;
+  std::deque<std::uint32_t> queue_;  ///< waiting task ids, FIFO
   int busy_threads_ = 0;
 
-  std::vector<std::function<void()>> commit_waiters_;
+  std::vector<sim::InlineTask> commit_waiters_;
   /// Recycled commit-batch buffers: a journal flush hands its waiters to a
   /// pooled buffer (several commits can be in flight on a slow MDT disk)
   /// and returns the buffer after firing, so steady-state commits stop
   /// allocating a fresh vector per batch.
-  std::vector<std::vector<std::function<void()>>> commit_batch_pool_;
+  std::vector<std::vector<sim::InlineTask>> commit_batch_pool_;
   std::vector<std::uint32_t> commit_batch_free_;
   bool commit_scheduled_ = false;
   std::int64_t journal_cursor_ = 0;

@@ -22,7 +22,7 @@ NetworkFabric::NetworkFabric(sim::Simulation& sim, const NetworkParams& params,
 }
 
 void NetworkFabric::install_loss_gates(
-    const std::function<std::function<bool()>(const std::string& resource)>& make_gate) {
+    sim::InlineFn<sim::InlineFn<bool()>(const std::string& resource)> make_gate) {
   for (std::size_t i = 0; i < client_egress_.size(); ++i) {
     client_egress_[i]->set_loss_gate(make_gate("egress-pipe/" + std::to_string(i)));
   }
@@ -40,32 +40,78 @@ std::uint64_t NetworkFabric::messages_dropped() const {
   return n;
 }
 
+std::uint32_t NetworkFabric::acquire_call() {
+  if (!free_calls_.empty()) {
+    const std::uint32_t id = free_calls_.back();
+    free_calls_.pop_back();
+    return id;
+  }
+  calls_.emplace_back();
+  return static_cast<std::uint32_t>(calls_.size() - 1);
+}
+
+void NetworkFabric::release_call(std::uint32_t id) {
+  // Destroy the closures now (not on reuse) so captured state is freed as
+  // soon as the RPC ends; destruction never runs them.
+  calls_[id].serve.reset();
+  calls_[id].on_complete.reset();
+  free_calls_.push_back(id);
+}
+
+// Every hop below captures only {this, id}: the event closures stay far
+// under the inline budget, and a slot's address may move (the slab grows
+// while RPCs are in flight), so nothing holds a reference into calls_
+// across a call that can start another RPC.
+
 void NetworkFabric::rpc(NodeId client, int server_port, std::int64_t request_payload,
-                        std::int64_t response_payload,
-                        std::function<void(std::function<void()>)> serve,
-                        std::function<void()> on_complete) {
+                        std::int64_t response_payload, Serve serve,
+                        sim::InlineTask on_complete) {
   assert(client >= 0 && client < n_client_nodes());
   assert(server_port >= 0 && server_port < n_server_ports());
-  if (!on_complete) on_complete = [] {};  // fire-and-forget RPCs are legal
-  const std::int64_t req_bytes = request_payload + params_.rpc_header_bytes;
-  const std::int64_t resp_bytes = response_payload + params_.rpc_header_bytes;
+  const std::uint32_t id = acquire_call();
+  Call& call = calls_[id];
+  call.serve = std::move(serve);
+  call.on_complete = std::move(on_complete);
+  call.request_bytes = request_payload + params_.rpc_header_bytes;
+  call.response_bytes = response_payload + params_.rpc_header_bytes;
+  call.server_port = server_port;
+  if (!client_egress_[client]->send(call.request_bytes, [this, id] { on_request_sent(id); })) {
+    release_call(id);
+  }
+}
 
-  auto* ingress = server_ingress_[server_port].get();
-  auto* egress = server_egress_[server_port].get();
+void NetworkFabric::on_request_sent(std::uint32_t id) {
+  const Call& call = calls_[id];
+  if (!server_ingress_[call.server_port]->transfer(call.request_bytes,
+                                                   [this, id] { on_request_arrived(id); })) {
+    release_call(id);
+  }
+}
 
-  client_egress_[client]->send(req_bytes, [this, ingress, egress, req_bytes, resp_bytes,
-                                           serve = std::move(serve),
-                                           on_complete = std::move(on_complete)]() mutable {
-    ingress->transfer(req_bytes, [this, egress, resp_bytes, serve = std::move(serve),
-                                  on_complete = std::move(on_complete)]() mutable {
-      serve([this, egress, resp_bytes, on_complete = std::move(on_complete)]() mutable {
-        egress->transfer(resp_bytes, [this, on_complete = std::move(on_complete)]() mutable {
-          // Response propagation back to the client host.
-          sim_.schedule_after(params_.latency, std::move(on_complete));
-        });
-      });
-    });
-  });
+void NetworkFabric::on_request_arrived(std::uint32_t id) {
+  // Move serve out before running it: it may start other RPCs (growing the
+  // slab) or call done() synchronously.
+  Serve serve = std::move(calls_[id].serve);
+  serve(RpcDone(this, id));
+}
+
+void NetworkFabric::respond(std::uint32_t id) {
+  const Call& call = calls_[id];
+  if (!server_egress_[call.server_port]->transfer(call.response_bytes,
+                                                  [this, id] { on_response_sent(id); })) {
+    release_call(id);
+  }
+}
+
+void NetworkFabric::on_response_sent(std::uint32_t id) {
+  // Response propagation back to the client host.
+  sim_.schedule_after(params_.latency, [this, id] { on_response_arrived(id); });
+}
+
+void NetworkFabric::on_response_arrived(std::uint32_t id) {
+  sim::InlineTask on_complete = std::move(calls_[id].on_complete);
+  release_call(id);
+  if (on_complete) on_complete();
 }
 
 }  // namespace qif::pfs

@@ -9,7 +9,7 @@ WritebackCache::WritebackCache(sim::Simulation& sim, DiskModel& disk, WritebackP
     : sim_(sim), disk_(disk), params_(params) {}
 
 void WritebackCache::write(std::int64_t disk_offset, std::int64_t len,
-                           std::function<void()> on_durable_ack) {
+                           sim::InlineTask on_durable_ack) {
   PendingWrite w{disk_offset, len, std::move(on_durable_ack), 0};
   // Fairness: once anyone is throttled, newcomers queue too.
   if (!throttle_queue_.empty() || dirty_bytes_ + len > params_.dirty_limit_bytes) {
@@ -51,10 +51,12 @@ void WritebackCache::admit(PendingWrite w) {
   dirty_extents_[off] = len;
   dirty_bytes_ += len - erased;
   const auto copy_time = sim::from_seconds(static_cast<double>(w.len) / params_.memcpy_rate_bps);
-  sim_.schedule_after(params_.ack_overhead + copy_time,
-                      [fn = std::move(w.on_durable_ack)] {
-                        if (fn) fn();
-                      });
+  // The ack itself is the event (an InlineTask cannot nest inside another
+  // closure's inline buffer); an empty ack still takes its event so the
+  // schedule is the same either way.
+  sim::InlineTask ack = std::move(w.on_durable_ack);
+  if (!ack) ack = [] {};
+  sim_.schedule_after(params_.ack_overhead + copy_time, std::move(ack));
   kick_flusher();
 }
 

@@ -16,10 +16,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 
 #include "qif/pfs/disk.hpp"
+#include "qif/sim/inline_task.hpp"
 #include "qif/sim/simulation.hpp"
 
 namespace qif::pfs {
@@ -52,7 +52,7 @@ class WritebackCache {
   /// `on_durable_ack` fires when the write would be acknowledged to the
   /// client: after a RAM copy if the cache has room, or after enough flush
   /// progress if the cache is throttled.
-  void write(std::int64_t disk_offset, std::int64_t len, std::function<void()> on_durable_ack);
+  void write(std::int64_t disk_offset, std::int64_t len, sim::InlineTask on_durable_ack);
 
   /// Discards still-dirty bytes in [disk_offset, disk_offset+len) — used
   /// by the synchronous flush-on-close path, which writes those bytes to
@@ -69,7 +69,7 @@ class WritebackCache {
   struct PendingWrite {
     std::int64_t disk_offset;
     std::int64_t len;
-    std::function<void()> on_durable_ack;
+    sim::InlineTask on_durable_ack;
     std::int64_t credit = 0;  ///< flush-progress share earned while waiting
   };
 

@@ -6,10 +6,10 @@
 
 namespace qif::sim {
 
-void FairLink::transfer(std::int64_t bytes, InlineTask on_done) {
+bool FairLink::transfer(std::int64_t bytes, InlineTask on_done) {
   if (loss_gate_ && loss_gate_()) {
     ++messages_dropped_;
-    return;  // dropped on the wire: no link time, callback never fires
+    return false;  // dropped on the wire: no link time, callback never fires
   }
   settle();
   const std::int64_t clamped = std::max<std::int64_t>(bytes, 0);
@@ -18,6 +18,7 @@ void FairLink::transfer(std::int64_t bytes, InlineTask on_done) {
   // Incremental min maintenance: an arrival can only lower the minimum.
   min_remaining_ = flows_.size() == 1 ? remaining : std::min(min_remaining_, remaining);
   reschedule();
+  return true;
 }
 
 void FairLink::settle() {

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "qif/sim/simulation.hpp"
@@ -47,7 +46,9 @@ class FairLink {
 
   /// Starts a transfer of `bytes`; `on_done` fires when the last byte has
   /// been serviced.  Zero-byte transfers complete on the next event cycle.
-  void transfer(std::int64_t bytes, InlineTask on_done);
+  /// Returns false when the loss gate dropped the message (`on_done` is
+  /// destroyed unfired).
+  bool transfer(std::int64_t bytes, InlineTask on_done);
 
   /// Number of transfers currently in flight.
   [[nodiscard]] std::size_t active() const { return flows_.size(); }
@@ -62,7 +63,7 @@ class FairLink {
   /// Fault injection: when set, the gate is consulted on every transfer();
   /// a `true` return drops the message (no link time consumed, `on_done`
   /// destroyed unfired).  Unset by default.
-  void set_loss_gate(std::function<bool()> gate) { loss_gate_ = std::move(gate); }
+  void set_loss_gate(InlineFn<bool()> gate) { loss_gate_ = std::move(gate); }
   [[nodiscard]] std::uint64_t messages_dropped() const { return messages_dropped_; }
 
   /// Instantaneous per-flow rate in bytes/second (capacity / active flows).
@@ -93,7 +94,7 @@ class FairLink {
   std::int64_t bytes_delivered_ = 0;
   std::uint64_t reschedules_elided_ = 0;
   std::vector<InlineTask> done_;  ///< reused per-completion callback buffer
-  std::function<bool()> loss_gate_;
+  InlineFn<bool()> loss_gate_;
   std::uint64_t messages_dropped_ = 0;
 };
 

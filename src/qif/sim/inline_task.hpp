@@ -1,19 +1,27 @@
-// Allocation-free type-erased closure for the event engine.
+// Allocation-free type-erased closures for the event engine and the RPC path.
 //
 // Every scheduled event used to carry a std::function<void()>, which heap-
 // allocates for any capture larger than the library's tiny SSO buffer
 // (16 bytes on libstdc++) — i.e. for essentially every closure the pfs
 // layer schedules.  At millions of events per campaign that is a malloc
-// and a free per event, on the system's permanent hot path.
+// and a free per event, on the system's permanent hot path.  The same held
+// for the continuations an RPC threads from the client through the fabric,
+// the OST, the write-back cache and the disk.
 //
-// InlineTask stores the callable inline in a fixed 128-byte buffer, sized
-// for the largest closure scheduled today (MdtServer::dispatch's
-// this + Task ≈ 104 bytes, see DESIGN.md) with headroom.  There is no heap
-// fallback *by construction*: a closure that outgrows the buffer is a
-// compile error, so the zero-allocation property cannot silently rot.  The
-// type is move-only (closures own moved-in state such as std::function
-// members) and relocation is a move-construct + destroy pair dispatched
-// through a static ops table, never a heap round trip.
+// InlineFn<R(Args...)> stores the callable inline in a fixed 128-byte
+// buffer; InlineTask = InlineFn<void()> is the event closure, and the pfs
+// layer uses other signatures for its typed continuations (the fabric's
+// Serve = InlineFn<void(RpcDone)>, the MDT's InlineFn<void(const
+// MetaResult&)>).  There is no heap fallback *by construction*: a closure
+// that outgrows the buffer is a compile error, so the zero-allocation
+// property cannot silently rot.  An owner whose state does not fit keeps
+// it in a pooled slot of its own and captures only {this, slot index}
+// (Pipe's delivery pool, NetworkFabric's Call slab, MdtServer's task
+// slab).  The type is move-only and relocation is a move-construct +
+// destroy pair dispatched through a static ops table, never a heap round
+// trip; closures must be nothrow-movable, which rules out captures of
+// const-qualified strings (copying a `const std::string&` parameter into a
+// closure keeps the const — use an init-capture `path = path`).
 #pragma once
 
 #include <cstddef>
@@ -23,43 +31,48 @@
 
 namespace qif::sim {
 
-class InlineTask {
+template <typename Signature>
+class InlineFn;
+
+template <typename R, typename... Args>
+class InlineFn<R(Args...)> {
  public:
-  /// Inline capture budget.  Raising it is cheap (events live in a pooled
-  /// slab, not on the stack); shrinking it below any live closure is a
-  /// compile error at the offending schedule site.
+  /// Inline capture budget.  Raising it is cheap for events (they live in
+  /// a pooled slab, not on the stack) but grows every slot that stores an
+  /// InlineFn; shrinking it below any live closure is a compile error at
+  /// the offending site.
   static constexpr std::size_t kStorageBytes = 128;
 
-  InlineTask() noexcept = default;
-  InlineTask(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+  InlineFn() noexcept = default;
+  InlineFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename Fn = std::remove_cvref_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<Fn, InlineTask> &&
+            typename = std::enable_if_t<!std::is_same_v<Fn, InlineFn> &&
                                         !std::is_same_v<Fn, std::nullptr_t> &&
-                                        std::is_invocable_r_v<void, Fn&>>>
-  InlineTask(F&& f) {  // NOLINT(google-explicit-constructor)
+                                        std::is_invocable_r_v<R, Fn&, Args...>>>
+  InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
     static_assert(sizeof(Fn) <= kStorageBytes,
-                  "closure exceeds InlineTask's inline buffer; shrink its "
-                  "captures (or box the large member) — there is deliberately "
-                  "no heap fallback");
+                  "closure exceeds InlineFn's inline buffer; shrink its captures "
+                  "(or park the large state in its owner's pool) — there is "
+                  "deliberately no heap fallback");
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
                   "over-aligned closures are not supported");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "closures must be nothrow-movable so event slots can be "
-                  "relocated without a throwing state");
+                  "closures must be nothrow-movable so slots can be relocated "
+                  "without a throwing state (init-capture const strings)");
     ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
     ops_ = &kOpsFor<Fn>;
   }
 
-  InlineTask(InlineTask&& other) noexcept : ops_(other.ops_) {
+  InlineFn(InlineFn&& other) noexcept : ops_(other.ops_) {
     if (ops_ != nullptr) {
       ops_->relocate(other.storage_, storage_);
       other.ops_ = nullptr;
     }
   }
 
-  InlineTask& operator=(InlineTask&& other) noexcept {
+  InlineFn& operator=(InlineFn&& other) noexcept {
     if (this != &other) {
       reset();
       ops_ = other.ops_;
@@ -71,13 +84,13 @@ class InlineTask {
     return *this;
   }
 
-  InlineTask(const InlineTask&) = delete;
-  InlineTask& operator=(const InlineTask&) = delete;
+  InlineFn(const InlineFn&) = delete;
+  InlineFn& operator=(const InlineFn&) = delete;
 
-  ~InlineTask() { reset(); }
+  ~InlineFn() { reset(); }
 
   /// Invokes the stored closure.  Precondition: non-empty.
-  void operator()() { ops_->invoke(storage_); }
+  R operator()(Args... args) { return ops_->invoke(storage_, std::forward<Args>(args)...); }
 
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
@@ -91,14 +104,14 @@ class InlineTask {
 
  private:
   struct Ops {
-    void (*invoke)(void*);
+    R (*invoke)(void*, Args&&...);
     void (*relocate)(void* src, void* dst) noexcept;  // move into dst, destroy src
     void (*destroy)(void*) noexcept;
   };
 
   template <typename Fn>
-  static void invoke_impl(void* p) {
-    (*static_cast<Fn*>(p))();
+  static R invoke_impl(void* p, Args&&... args) {
+    return (*static_cast<Fn*>(p))(std::forward<Args>(args)...);
   }
   template <typename Fn>
   static void relocate_impl(void* src, void* dst) noexcept {
@@ -117,5 +130,9 @@ class InlineTask {
   const Ops* ops_ = nullptr;
   alignas(std::max_align_t) std::byte storage_[kStorageBytes];
 };
+
+/// The event closure: what Simulation schedules and what every completion
+/// on the RPC path (Pipe, FairLink, OST, write-back, disk) carries.
+using InlineTask = InlineFn<void()>;
 
 }  // namespace qif::sim

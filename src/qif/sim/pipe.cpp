@@ -28,13 +28,14 @@ Pipe::Message Pipe::ring_pop() {
   return msg;
 }
 
-void Pipe::send(std::int64_t bytes, InlineTask on_delivered) {
+bool Pipe::send(std::int64_t bytes, InlineTask on_delivered) {
   if (loss_gate_ && loss_gate_()) {
     ++messages_dropped_;
-    return;  // dropped on the wire: no link time, callback never fires
+    return false;  // dropped on the wire: no link time, callback never fires
   }
   ring_push(Message{bytes < 0 ? 0 : bytes, std::move(on_delivered)});
   if (!busy_) start_next();
+  return true;
 }
 
 void Pipe::start_next() {

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "qif/sim/simulation.hpp"
@@ -33,8 +32,10 @@ class Pipe {
   Pipe& operator=(const Pipe&) = delete;
 
   /// Enqueues a message; `on_delivered` fires once the message has fully
-  /// serialized (in FIFO order) and propagated.
-  void send(std::int64_t bytes, InlineTask on_delivered);
+  /// serialized (in FIFO order) and propagated.  Returns false when the
+  /// loss gate dropped the message (`on_delivered` is destroyed unfired), so
+  /// an owner parking per-message state elsewhere can release it at once.
+  bool send(std::int64_t bytes, InlineTask on_delivered);
 
   [[nodiscard]] std::size_t queue_depth() const { return count_ + (busy_ ? 1 : 0); }
   [[nodiscard]] std::int64_t bytes_sent() const { return bytes_sent_; }
@@ -43,7 +44,7 @@ class Pipe {
   /// `true` return drops the message on the floor (no link time consumed,
   /// the delivery callback is destroyed unfired).  Unset by default — the
   /// healthy path takes no branch cost beyond one bool test.
-  void set_loss_gate(std::function<bool()> gate) { loss_gate_ = std::move(gate); }
+  void set_loss_gate(InlineFn<bool()> gate) { loss_gate_ = std::move(gate); }
   [[nodiscard]] std::uint64_t messages_dropped() const { return messages_dropped_; }
 
  private:
@@ -77,7 +78,7 @@ class Pipe {
 
   bool busy_ = false;
   std::int64_t bytes_sent_ = 0;
-  std::function<bool()> loss_gate_;
+  InlineFn<bool()> loss_gate_;
   std::uint64_t messages_dropped_ = 0;
 };
 

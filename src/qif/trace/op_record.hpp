@@ -68,6 +68,7 @@ class TraceLog {
   /// equivalent of Darshan's shared-memory ring being drained by the
   /// aggregator process).
   void set_observer(Observer obs) { observer_ = std::move(obs); }
+  [[nodiscard]] bool has_observer() const { return static_cast<bool>(observer_); }
 
   [[nodiscard]] const std::vector<OpRecord>& records() const { return records_; }
   [[nodiscard]] std::size_t size() const { return records_.size(); }

@@ -55,6 +55,19 @@ TEST(Scenario, MonitorsProduceWindowFeatures) {
   }
 }
 
+TEST(Scenario, MonitoredResultTraceCarriesNoObserver) {
+  // The client monitor observes the cluster's log through a closure over a
+  // run_scenario local; the returned trace must not keep that dangling hook.
+  ScenarioResult res = run_scenario(small_scenario("ior-easy-write", 2));
+  ASSERT_FALSE(res.window_features.empty());  // monitors were on
+  ASSERT_FALSE(res.trace.empty());
+  EXPECT_FALSE(res.trace.has_observer());
+  trace::OpRecord rec;
+  rec.job = 7;
+  res.trace.record(rec);  // would call into the dead monitor if it were kept
+  EXPECT_EQ(res.trace.records().back().job, 7);
+}
+
 TEST(Scenario, IdenticalConfigIsDeterministic) {
   const ScenarioResult a = run_scenario(small_scenario("enzo", 3));
   const ScenarioResult b = run_scenario(small_scenario("enzo", 3));

@@ -118,6 +118,49 @@ TEST_F(MdtFixture, UnlinkRemovesFile) {
   EXPECT_EQ(mdt->files(), 0u);
 }
 
+TEST_F(MdtFixture, RecreateAfterUnlinkGetsFreshId) {
+  auto mdt = make();
+  MetaResult first, second, other;
+  mdt->create("/again", 1, -1, [&](const MetaResult& r) { first = r; });
+  mdt->create("/other", 1, -1, [&](const MetaResult& r) { other = r; });
+  s.run_all();
+  mdt->unlink("/again", [](const MetaResult&) {});
+  s.run_all();
+  mdt->create("/again", 1, -1, [&](const MetaResult& r) { second = r; });
+  s.run_all();
+  ASSERT_TRUE(first.ok);
+  ASSERT_TRUE(second.ok);
+  // Ids are never reused: the re-created file is a new inode past every
+  // id handed out so far.
+  EXPECT_NE(second.file, first.file);
+  EXPECT_GT(second.file, other.file);
+}
+
+TEST_F(MdtFixture, NoteSizeAfterUnlinkIsANoOp) {
+  auto mdt = make();
+  MetaResult first, second, statted;
+  mdt->create("/sized", 1, -1, [&](const MetaResult& r) { first = r; });
+  s.run_all();
+  mdt->unlink("/sized", [](const MetaResult&) {});
+  s.run_all();
+  mdt->note_size(first.file, 1 << 20);  // the write raced the unlink
+  mdt->note_size(first.file + 1000, 1 << 20);  // never handed out
+  mdt->note_size(kInvalidFile, 1 << 20);
+  mdt->create("/sized", 1, -1, [&](const MetaResult& r) { second = r; });
+  s.run_all();
+  mdt->stat("/sized", [&](const MetaResult& r) { statted = r; });
+  s.run_all();
+  EXPECT_EQ(second.size, 0);
+  ASSERT_TRUE(statted.ok);
+  EXPECT_EQ(statted.file, second.file);
+  EXPECT_EQ(statted.size, 0);
+  // The live inode still takes size updates.
+  mdt->note_size(second.file, 4096);
+  mdt->stat("/sized", [&](const MetaResult& r) { statted = r; });
+  s.run_all();
+  EXPECT_EQ(statted.size, 4096);
+}
+
 TEST_F(MdtFixture, ModifyingOpsWaitForJournalCommit) {
   mp.commit_interval = 10 * sim::kMillisecond;
   auto mdt = make();

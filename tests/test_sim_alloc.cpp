@@ -1,13 +1,14 @@
-// Heap-allocation accounting for the event-engine hot path.
+// Heap-allocation accounting for the event-engine and RPC hot paths.
 //
 // The acceptance bar for the engine rebuild: zero heap allocations per
 // scheduled event in steady state, for closures of every shape the pfs
 // layer schedules today (up to ~104 bytes of captures, including
-// std::function members moved through).  This binary replaces global
-// operator new/delete with counting versions; each test warms the engine
-// up (so slabs, heaps, and reusable buffers reach their steady-state
-// capacity) and then asserts that a measured window performs no
-// allocations at all.
+// std::function members moved through); the same bar holds for a fabric
+// RPC, and a PfsClient data op stays under a pinned per-op count.  This
+// binary replaces global operator new/delete with counting versions; each
+// test warms its subject up (so slabs, heaps, and reusable buffers reach
+// their steady-state capacity) and then counts the allocations of a
+// measured window.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,8 @@
 #include <functional>
 #include <new>
 
+#include "qif/pfs/cluster.hpp"
+#include "qif/pfs/network.hpp"
 #include "qif/sim/fair_link.hpp"
 #include "qif/sim/pipe.hpp"
 #include "qif/sim/simulation.hpp"
@@ -55,9 +58,10 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace qif::sim {
 namespace {
 
-// Representative of the largest closure the pfs layer schedules today
-// (MdtServer::dispatch: this + Task{kind, string, ids, callback}): ~104
-// bytes including a moved std::function member.
+// Representative of the largest closures the pfs layer builds today (the
+// client's metadata completions: this, a path string, ids, shared result
+// and stats handles and the caller's std::function callback): ~104 bytes
+// including a moved std::function member.
 struct BigCapture {
   void* self = nullptr;
   std::int64_t a = 0, b = 0, c = 0, d = 0;
@@ -136,6 +140,60 @@ TEST(EngineAllocations, PipeDeliveriesAreAllocationFreeInSteadyState) {
   round(64);
   EXPECT_EQ(w.count(), 0u) << "Pipe send/delivery allocated in steady state";
   EXPECT_EQ(done, 128);
+}
+
+TEST(EngineAllocations, FabricRpcsAreAllocationFreeInSteadyState) {
+  Simulation s;
+  pfs::NetworkFabric net(s, pfs::NetworkParams{}, 4, 3);
+  int done = 0;
+  auto round = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      net.rpc(i % 4, i % 3, 4096, 65536,
+              [&s](pfs::RpcDone d) { s.schedule_after(1000, d); }, [&done] { ++done; });
+    }
+    s.run_all();
+  };
+  round(64);  // warm-up: call slab, pipe/link buffers, engine slab
+  const AllocWindow w;
+  round(64);
+  EXPECT_EQ(w.count(), 0u) << "fabric RPC allocated in steady state";
+  EXPECT_EQ(done, 128);
+}
+
+// A healthy single-chunk write, issued back to back the way a rank's op
+// stream does.  What is left per op: the record's `targets` vector (the
+// trace keeps it), the extent vector FileLayout::map returns, and the
+// write-back cache's dirty-extent map node; the lazy flusher adds a disk
+// request (queue node + completion vector) now and then.  The same chain
+// made 14 allocations per op while the RPC path was built from nested
+// std::function continuations with per-chunk copies of the op's completion.
+TEST(ClientAllocations, HealthySingleChunkWriteStaysAtItsPinnedCount) {
+  constexpr std::uint64_t kPinnedAllocsPerWrite = 3;
+  constexpr std::uint64_t kFlusherSlack = 8;
+  Simulation s;
+  pfs::ClusterConfig cfg;
+  pfs::Cluster cluster(s, cfg);
+  pfs::PfsClient& client = cluster.make_client(0, 0, 0);
+  const pfs::FileLayout layout(1, {0}, cfg.stripe_size, cfg.ost_disk.capacity_bytes);
+  const pfs::FileHandle fh{1, &layout, 0};
+  int remaining = 0;
+  std::function<void()> next = [&] {
+    if (remaining-- > 0) client.write(fh, 0, 64 << 10, [&next] { next(); });
+  };
+  auto chain = [&](int n) {
+    remaining = n;
+    next();
+    s.run_all();
+  };
+  cluster.trace_log().reserve(1024);
+  chain(64);  // warm-up: DataOp pool, call slab, engine slab, flusher state
+  constexpr int kOps = 256;
+  const AllocWindow w;
+  chain(kOps);
+  const std::uint64_t allocs = w.count();
+  EXPECT_LE(allocs, kPinnedAllocsPerWrite * kOps + kFlusherSlack)
+      << "per-op allocations grew: " << static_cast<double>(allocs) / kOps;
+  EXPECT_EQ(cluster.trace_log().size(), 64u + kOps);
 }
 
 }  // namespace
