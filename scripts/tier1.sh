@@ -6,8 +6,8 @@
 # leg over the .qds corruption-fuzz and reader tests (so hostile bytes can
 # never turn into a silent out-of-bounds read), over the campaign tests
 # (so a run stopped at its horizon frees every in-flight op) and over the
-# PFS RPC path (pooled closures, call slots and teardown), and the
-# pipeline benchmark's own tests.
+# PFS RPC path (pooled closures, call slots and teardown) and the .qifm
+# model loader, and the pipeline benchmark's own tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,11 +74,14 @@ echo "=== tier-1: corruption fuzz, campaign leaks and the PFS RPC path under ASa
 # slots (freed on delivery and on every loss-gate drop), the MDS task slab,
 # the client's DataOp records and retry stragglers, and cluster teardown
 # with closures still parked in slabs while the engine outlives them.
+# test_serve_registry (every truncation, bit flip and hostile header of a
+# .qifm image) and test_core (TrainingServer load and its rejections) cover
+# the one model loader that `qif eval` and `serve publish` feed files to.
 cmake -B build-asan -S . -DQIF_SANITIZE=address
 cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
   test_qwp test_replay test_exec test_campaign_faults \
   test_pfs_network test_pfs_client test_pfs_faults test_pfs_disk \
-  test_pfs_writeback test_pfs_mdt test_sim_golden
+  test_pfs_writeback test_pfs_mdt test_sim_golden test_serve_registry test_core
 ./build-asan/tests/test_qds_fuzz
 ./build-asan/tests/test_export
 ./build-asan/tests/test_streaming
@@ -93,6 +96,8 @@ cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
 ./build-asan/tests/test_pfs_writeback
 ./build-asan/tests/test_pfs_mdt
 ./build-asan/tests/test_sim_golden
+./build-asan/tests/test_serve_registry
+./build-asan/tests/test_core
 
 echo "=== tier-1: benchmark smoke ==="
 # Engine smoke: the event-engine, FairLink and scenario micro-benchmarks

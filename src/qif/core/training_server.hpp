@@ -1,11 +1,12 @@
 // Training server (paper §III-C): owns the model bundle — the kernel-based
-// network plus the fitted standardizer — trains it offline on a labelled
-// dataset, and serves predictions afterwards.
+// network plus the fitted standardizer, held as one kernel-kind
+// serve::ServingModel — trains it offline on a labelled dataset, and
+// serves predictions afterwards.  The bundle is stored as the binary,
+// checksummed .qifm image the serving registry reads (serve::save_model).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "qif/ml/kernel_net.hpp"
@@ -13,6 +14,7 @@
 #include "qif/ml/preprocess.hpp"
 #include "qif/ml/trainer.hpp"
 #include "qif/monitor/features.hpp"
+#include "qif/serve/registry.hpp"
 
 namespace qif::core {
 
@@ -53,9 +55,11 @@ class TrainingServer {
   /// Per-server kernel scores (which server the model attributes pressure to).
   [[nodiscard]] std::vector<double> server_scores(std::vector<double> features) const;
 
-  [[nodiscard]] const ml::KernelNet& net() const { return net_; }
-  [[nodiscard]] const ml::Standardizer& standardizer() const { return stdz_; }
+  [[nodiscard]] const ml::KernelNet& net() const { return model_.kernel; }
+  [[nodiscard]] const ml::Standardizer& standardizer() const { return model_.stdz; }
   [[nodiscard]] const TrainingServerConfig& config() const { return config_; }
+  /// The whole bundle, as the serving layer runs it.
+  [[nodiscard]] const serve::ServingModel& model() const { return model_; }
 
   /// Deployment guard: throws std::runtime_error naming both widths when
   /// the loaded model's per-server feature width disagrees with the
@@ -63,16 +67,17 @@ class TrainingServer {
   /// 37-wide healthy layout).  `schema_dim == 0` disables the check.
   void validate_feature_width(int schema_dim) const;
 
+  /// Writes the bundle as a .qifm image (serve::save_model).
   void save(std::ostream& os) const;
-  /// Parses a "qif-model 1" bundle.  `expected_dim`, when nonzero, runs
-  /// validate_feature_width on the result before accepting it — a width
-  /// mismatch throws and leaves this object unchanged.
+  /// Reads a .qifm image (serve::load_model) and accepts it only if it is
+  /// a kernel-kind model with at least 2 classes and, when `expected_dim`
+  /// is nonzero, a per-server width equal to it.  Any failure throws
+  /// std::runtime_error and leaves this object unchanged.
   void load(std::istream& is, int expected_dim = 0);
 
  private:
   TrainingServerConfig config_;
-  ml::KernelNet net_;
-  ml::Standardizer stdz_;
+  serve::ServingModel model_;  ///< always Kind::kKernel
 };
 
 }  // namespace qif::core

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <utility>
 #include <vector>
 
@@ -42,15 +41,11 @@ class Standardizer {
   [[nodiscard]] int dim() const { return static_cast<int>(mean_.size()); }
   [[nodiscard]] const std::vector<double>& mean() const { return mean_; }
   [[nodiscard]] const std::vector<double>& inv_std() const { return inv_std_; }
-  /// Rebuilds a fitted standardizer from stored moments (the binary model
+  /// Rebuilds a fitted standardizer from stored moments (the model
   /// format's restore path).  Throws std::invalid_argument on a size
   /// mismatch between the two vectors.
   [[nodiscard]] static Standardizer from_moments(std::vector<double> mean,
                                                  std::vector<double> inv_std);
-
-  void save(std::ostream& os) const;
-  /// Throws std::runtime_error if the stream is truncated or corrupted.
-  void load(std::istream& is);
 
  private:
   std::vector<double> mean_;

@@ -12,6 +12,7 @@
 
 #include "qif/monitor/qlz.hpp"
 #include "qif/monitor/schema.hpp"
+#include "qif/sim/hash.hpp"
 #include "qif/trace/text_cursor.hpp"
 
 namespace qif::monitor {
@@ -134,34 +135,13 @@ namespace {
 constexpr char kQdsMagic[8] = {'q', 'i', 'f', '.', 'q', 'd', 's', '\n'};
 constexpr std::uint32_t kQdsVersionLegacy = 1;
 constexpr std::uint32_t kQdsVersionBlocks = 2;
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
 constexpr std::size_t kQdsV2HeaderSize = 48;
 constexpr std::size_t kQdsBlockHeaderSize = 32;
 constexpr std::uint32_t kQdsFlagCompressed = 1u;
 
-/// Stream checksum: FNV-1a folded 8 bytes at a time (one xor-multiply per
-/// word instead of per byte), byte-wise over the tail.  Word-wise so the
-/// checksum pass stays negligible next to the column reads — the reader
-/// hashes every payload byte of multi-megabyte files.
-std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::size_t i = 0;
-  for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
-    std::uint64_t word;
-    std::memcpy(&word, p + i, sizeof(word));
-    h ^= word;
-    h *= 1099511628211ull;
-  }
-  for (; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 void write_raw(std::ostream& os, const void* data, std::size_t n, std::uint64_t& hash) {
   os.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
-  hash = fnv1a(data, n, hash);
+  hash = sim::fnv1a_words(data, n, hash);
 }
 
 /// Schema hash stamped into headers: the canonical MetricSchema hash when
@@ -261,16 +241,16 @@ QdsValidated validate_qds_image(const char* data, std::size_t n) {
     // The word-folded FNV is chunk-boundary sensitive and the v1 writer
     // hashes field by field, then column by column — reproduce exactly
     // that sequence or every legacy file reads as corrupt.
-    std::uint64_t hash = kFnvBasis;
-    hash = fnv1a(data + 8, 4, hash);    // version
-    hash = fnv1a(data + 12, 8, hash);   // schema hash
-    hash = fnv1a(data + 20, 4, hash);   // n_servers
-    hash = fnv1a(data + 24, 4, hash);   // dim
-    hash = fnv1a(data + 28, 8, hash);   // rows
+    std::uint64_t hash = sim::kFnvOffsetBasis;
+    hash = sim::fnv1a_words(data + 8, 4, hash);    // version
+    hash = sim::fnv1a_words(data + 12, 8, hash);   // schema hash
+    hash = sim::fnv1a_words(data + 20, 4, hash);   // n_servers
+    hash = sim::fnv1a_words(data + 24, 4, hash);   // dim
+    hash = sim::fnv1a_words(data + 28, 8, hash);   // rows
     {
       std::size_t off = 36;
       for (const std::uint64_t c : col_bytes) {
-        hash = fnv1a(data + off, static_cast<std::size_t>(c), hash);
+        hash = sim::fnv1a_words(data + off, static_cast<std::size_t>(c), hash);
         off += static_cast<std::size_t>(c);
       }
     }
@@ -293,7 +273,7 @@ QdsValidated validate_qds_image(const char* data, std::size_t n) {
   if ((flags & ~kQdsFlagCompressed) != 0) {
     throw std::runtime_error(".qds dataset: unknown header flags");
   }
-  if (fnv1a(data + 8, 32, kFnvBasis) != load_at<std::uint64_t>(data, 40)) {
+  if (sim::fnv1a_words(data + 8, 32) != load_at<std::uint64_t>(data, 40)) {
     throw std::runtime_error(".qds dataset: header checksum mismatch");
   }
   // Pre-allocation guard: with compression a block's raw size legitimately
@@ -330,8 +310,8 @@ QdsValidated validate_qds_image(const char* data, std::size_t n) {
       throw std::runtime_error("truncated .qds dataset (block payload)");
     }
     const char* payload = data + offset + kQdsBlockHeaderSize;
-    std::uint64_t h = fnv1a(data + offset, 24, kFnvBasis);
-    h = fnv1a(payload, static_cast<std::size_t>(stored_bytes), h);
+    std::uint64_t h = sim::fnv1a_words(data + offset, 24);
+    h = sim::fnv1a_words(payload, static_cast<std::size_t>(stored_bytes), h);
     if (h != checksum) throw std::runtime_error(".qds dataset: checksum mismatch");
     const std::size_t pad = (8 - static_cast<std::size_t>(stored_bytes) % 8) % 8;
     if (pad > n - offset - kQdsBlockHeaderSize - static_cast<std::size_t>(stored_bytes)) {
@@ -396,7 +376,7 @@ std::string slurp_stream(std::istream& is) {
 
 void write_dataset_qds_v1(std::ostream& os, const Dataset& ds) {
   os.write(kQdsMagic, sizeof(kQdsMagic));
-  std::uint64_t hash = kFnvBasis;
+  std::uint64_t hash = sim::kFnvOffsetBasis;
   const std::uint32_t version = kQdsVersionLegacy;
   const std::uint64_t schema_hash = header_schema_hash(ds.dim());
   const std::int32_t n_servers = ds.n_servers();
@@ -439,8 +419,8 @@ void append_block_v2(std::string& out, std::uint32_t kind, const void* raw,
   const std::uint64_t stored64 = stored_bytes;
   std::memcpy(header + 8, &raw64, sizeof raw64);
   std::memcpy(header + 16, &stored64, sizeof stored64);
-  std::uint64_t checksum = fnv1a(header, sizeof header, kFnvBasis);
-  checksum = fnv1a(stored, stored_bytes, checksum);
+  std::uint64_t checksum = sim::fnv1a_words(header, sizeof header);
+  checksum = sim::fnv1a_words(stored, stored_bytes, checksum);
   out.append(header, sizeof header);
   append_value(out, checksum);
   out.append(stored, stored_bytes);
@@ -454,7 +434,7 @@ bool is_qds_magic(const char* bytes, std::size_t n) {
 }
 
 std::uint64_t qds_image_checksum(const void* data, std::size_t n) {
-  return fnv1a(data, n, kFnvBasis);
+  return sim::fnv1a_words(data, n);
 }
 
 void write_dataset_qds(std::ostream& os, const Dataset& ds, const QdsWriteOptions& options) {
@@ -490,7 +470,7 @@ void write_dataset_qds(std::ostream& os, const Dataset& ds, const QdsWriteOption
   append_value(header, static_cast<std::int32_t>(ds.dim()));
   append_value(header, static_cast<std::uint64_t>(rows));
   append_value(header, any_compressed ? kQdsFlagCompressed : 0u);
-  append_value(header, fnv1a(header.data() + 8, 32, kFnvBasis));
+  append_value(header, sim::fnv1a_words(header.data() + 8, 32));
 
   os.write(header.data(), static_cast<std::streamsize>(header.size()));
   os.write(blocks.data(), static_cast<std::streamsize>(blocks.size()));

@@ -1,5 +1,7 @@
 #include "qif/monitor/schema.hpp"
 
+#include "qif/sim/hash.hpp"
+
 namespace qif::monitor {
 
 const char* group_name(FeatureGroup g) {
@@ -59,19 +61,11 @@ MetricSchema::MetricSchema(bool with_fault_features)
 }
 
 std::uint64_t MetricSchema::layout_hash() const {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  auto mix = [&h](const char* p, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= static_cast<unsigned char>(p[i]);
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = sim::kFnvOffsetBasis;
   for (const FeatureInfo& f : features_) {
-    mix(f.name.data(), f.name.size());
-    const char sep = '\0';
-    mix(&sep, 1);
-    const char g = static_cast<char>(f.group);
-    mix(&g, 1);
+    h = sim::fnv1a(f.name, h);
+    const char sep_group[2] = {'\0', static_cast<char>(f.group)};
+    h = sim::fnv1a(sep_group, sizeof sep_group, h);
   }
   return h;
 }

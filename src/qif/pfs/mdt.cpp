@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "qif/sim/hash.hpp"
+
 namespace qif::pfs {
 
 MdtServer::MdtServer(sim::Simulation& sim, MdtParams params, DiskParams disk_params,
@@ -140,11 +142,7 @@ void MdtServer::run_task(std::uint32_t id) {
         if (t.stripe_hint >= 0) {
           start = t.stripe_hint % n_osts_;
         } else {
-          std::uint64_t h = 1469598103934665603ull;
-          for (const char c : t.path) {
-            h ^= static_cast<std::uint8_t>(c);
-            h *= 1099511628211ull;
-          }
+          const std::uint64_t h = sim::fnv1a(t.path, sim::kFnvSimSeed);
           start = static_cast<std::int64_t>(h % static_cast<std::uint64_t>(n_osts_));
         }
         std::vector<OstId> osts;

@@ -8,6 +8,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "qif/sim/hash.hpp"
+
 namespace qif::serve {
 
 namespace {
@@ -25,28 +27,15 @@ constexpr std::uint32_t kMaxHiddenLayers = 64;  // layer-count fields
 constexpr std::uint32_t kMaxHiddenWidth = 8192;
 constexpr std::uint64_t kMaxParams = 1ull << 26;  // 64M doubles = 512 MB
 
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-/// Byte-wise FNV-1a accumulated across every field as it is written or
-/// read, so the trailer covers the whole image in stream order.
-struct Fnv {
-  std::uint64_t h = kFnvBasis;
-  void update(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= kFnvPrime;
-    }
-  }
-};
-
+// Writer and Reader accumulate a byte-wise FNV-1a across every field as
+// it is written or read, so the trailer covers the whole image in stream
+// order.
 struct Writer {
   std::ostream& os;
-  Fnv fnv;
+  std::uint64_t fnv = sim::kFnvOffsetBasis;
   void raw(const void* data, std::size_t n) {
     os.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
-    fnv.update(data, n);
+    fnv = sim::fnv1a(data, n, fnv);
   }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
@@ -55,13 +44,13 @@ struct Writer {
 
 struct Reader {
   std::istream& is;
-  Fnv fnv;
+  std::uint64_t fnv = sim::kFnvOffsetBasis;
   void raw(void* data, std::size_t n, const char* what) {
     is.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
     if (static_cast<std::size_t>(is.gcount()) != n) {
       throw std::runtime_error(std::string("qifm: truncated ") + what);
     }
-    fnv.update(data, n);
+    fnv = sim::fnv1a(data, n, fnv);
   }
   std::uint32_t u32(const char* what) {
     std::uint32_t v = 0;
@@ -163,7 +152,7 @@ void ServingModel::validate_feature_width(int schema_dim) const {
 }
 
 void save_model(const ServingModel& model, std::ostream& os) {
-  Writer w{os, {}};
+  Writer w{os};
   w.raw(kMagic, sizeof kMagic);
   w.u32(kFormatVersion);
   w.u32(static_cast<std::uint32_t>(model.kind));
@@ -195,13 +184,13 @@ void save_model(const ServingModel& model, std::ostream& os) {
   w.f64s(mean.data(), mean.size());
   w.f64s(inv_std.data(), inv_std.size());
   // Trailer: checksum over everything above (not itself).
-  const std::uint64_t sum = w.fnv.h;
+  const std::uint64_t sum = w.fnv;
   os.write(reinterpret_cast<const char*>(&sum), sizeof sum);
   if (!os) throw std::runtime_error("qifm: write failed");
 }
 
 ServingModel load_model(std::istream& is) {
-  Reader r{is, {}};
+  Reader r{is};
   char magic[4] = {};
   r.raw(magic, sizeof magic, "magic");
   if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
@@ -271,7 +260,7 @@ ServingModel load_model(std::istream& is) {
   r.f64s(mean.data(), mean.size(), "standardizer means");
   r.f64s(inv_std.data(), inv_std.size(), "standardizer scales");
 
-  const std::uint64_t expected_sum = r.fnv.h;  // snapshot before the trailer read
+  const std::uint64_t expected_sum = r.fnv;  // snapshot before the trailer read
   std::uint64_t sum = 0;
   is.read(reinterpret_cast<char*>(&sum), sizeof sum);
   if (static_cast<std::size_t>(is.gcount()) != sizeof sum) {
@@ -287,22 +276,6 @@ ServingModel load_model(std::istream& is) {
     model.attention.restore(params);
   }
   model.stdz = ml::Standardizer::from_moments(std::move(mean), std::move(inv_std));
-  return model;
-}
-
-ServingModel import_text_model(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic >> version) || magic != "qif-model") {
-    throw std::runtime_error("not a qif model bundle");
-  }
-  ServingModel model;
-  if (!(is >> model.n_classes) || model.n_classes < 2) {
-    throw std::runtime_error("model bundle: bad class count");
-  }
-  model.kind = ServingModel::Kind::kKernel;
-  model.kernel.load(is);
-  model.stdz.load(is);
   return model;
 }
 

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "qif/sim/hash.hpp"
+
 namespace qif::sim {
 
 /// xoshiro256** by Blackman & Vigna, seeded through splitmix64.
@@ -28,12 +30,7 @@ class Rng {
   /// e.g. every OST's disk jitter stream differs but is stable across runs.
   static std::uint64_t derive_seed(std::uint64_t parent, std::string_view label) {
     // FNV-1a over the label, mixed into the parent via splitmix64.
-    std::uint64_t h = 1469598103934665603ull;
-    for (char c : label) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-    std::uint64_t x = parent ^ h;
+    std::uint64_t x = parent ^ fnv1a(label, kFnvSimSeed);
     return splitmix64(x);
   }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "qif/sim/hash.hpp"
+
 namespace qif::trace {
 
 std::vector<OpRecord> TraceLog::sorted_for_job(std::int32_t job) const {
@@ -56,13 +58,14 @@ std::vector<OpRecord> TraceLog::sorted_for_job(std::int32_t job) const {
 }
 
 std::uint64_t trace_fingerprint(const TraceLog& log) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = sim::kFnvSimSeed;
   const auto mix = [&h](std::int64_t v) {
-    const auto u = static_cast<std::uint64_t>(v);
+    // Little-endian bytes of the value, whatever the host byte order.
+    unsigned char bytes[8];
     for (int i = 0; i < 8; ++i) {
-      h ^= (u >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
+      bytes[i] = static_cast<unsigned char>(static_cast<std::uint64_t>(v) >> (8 * i));
     }
+    h = sim::fnv1a(bytes, sizeof bytes, h);
   };
   for (const OpRecord& r : log.records()) {
     mix(r.job);

@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 
+#include "qif/sim/hash.hpp"
 #include "qif/trace/text_cursor.hpp"
 
 namespace qif::workloads {
@@ -18,22 +19,17 @@ namespace {
 using trace::fail_cell;
 using trace::FieldCursor;
 
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
 // Sanity caps: a hostile `ranks`/`slots` count must not turn into a giant
 // allocation before the (mandatory) checksum gets a chance to reject the
 // file.
 constexpr int kMaxRanks = 1'000'000;
 constexpr int kMaxSlots = 1'000'000;
 
+/// FNV-1a over every line, newline included, as written or read.
 struct LineHash {
-  std::uint64_t value = kFnvBasis;
-  void add(std::string_view bytes) {
-    for (const char c : bytes) {
-      value ^= static_cast<unsigned char>(c);
-      value *= kFnvPrime;
-    }
+  std::uint64_t value = sim::kFnvOffsetBasis;
+  void add_line(std::string_view line) {
+    value = sim::fnv1a(std::string_view("\n"), sim::fnv1a(line, value));
   }
 };
 
@@ -178,8 +174,7 @@ void write_qwp(std::ostream& os, const WorkloadProgram& program) {
   LineHash hash;
   const auto emit = [&](const std::string& text) {
     os << text << '\n';
-    hash.add(text);
-    hash.add("\n");
+    hash.add_line(text);
   };
   emit("# qwp qif " + std::to_string(kQwpVersion));
   if (!program.workload.empty()) emit("workload " + program.workload);
@@ -221,8 +216,7 @@ WorkloadProgram read_qwp(std::istream& is) {
                              " at line 1 (reader supports " + std::to_string(kQwpVersion) +
                              ")");
   }
-  hash.add(line);
-  hash.add("\n");
+  hash.add_line(line);
 
   enum class St { kPreRanks, kAwaitRank, kAwaitSlots, kAwaitPrologue, kPrologue, kBody };
   const auto expectation = [](St st) -> const char* {
@@ -282,8 +276,7 @@ WorkloadProgram read_qwp(std::istream& is) {
       sealed = true;
       break;
     }
-    hash.add(line);
-    hash.add("\n");
+    hash.add_line(line);
     if (tok.empty() || tok[0] == '#') continue;  // blank/comment (checksummed)
 
     switch (st) {

@@ -21,6 +21,53 @@ foreach(value zero 0 -2 3x)
     endif()
   endforeach()
 endforeach()
+
+# Every other numeric option is checked the same way: the whole value must
+# parse and meet the option's minimum, or the command exits 1 naming the
+# option and the value (atoi/atof used to coerce each of these into a run).
+function(expect_rejected option value)
+  execute_process(COMMAND ${QIF_CLI} ${ARGN} --${option} ${value}
+                  WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(REPLACE ";" " " shown "${ARGN} --${option} ${value}")
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "`qif ${shown}` exited ${rc}, expected 1\n${out}\n${err}")
+  endif()
+  string(FIND "${err}" "--${option}" has_option)
+  string(FIND "${err}" "'${value}'" has_value)
+  if(has_option EQUAL -1 OR has_value EQUAL -1)
+    message(FATAL_ERROR "`qif ${shown}` failed without naming --${option} '${value}':\n${err}")
+  endif()
+endfunction()
+foreach(value abc 0 -1 inf nan 1.5x)
+  expect_rejected(scale ${value} run ior-easy-write)
+  expect_rejected(richness ${value} campaign amrex --out never.csv)
+endforeach()
+foreach(value 0 -3 2.5 many)
+  expect_rejected(epochs ${value} train --data missing.qds --out never.txt)
+  expect_rejected(instances ${value} run ior-easy-write --noise ior-easy-write)
+endforeach()
+foreach(value 1 0 -2 two)
+  expect_rejected(classes ${value} train --data missing.qds --out never.txt)
+endforeach()
+foreach(value 3 5 2,3 2,5,8 x)
+  expect_rejected(bins ${value} campaign amrex --out never.csv)
+endforeach()
 if(EXISTS ${WORK_DIR}/never.csv OR EXISTS ${WORK_DIR}/never.txt)
   message(FATAL_ERROR "a rejected --jobs value still wrote an output file")
+endif()
+
+# `qif train --out` into a directory that does not exist fails after
+# training, naming the path, instead of reporting a save that never happened.
+execute_process(COMMAND ${QIF_CLI} campaign amrex --richness 0.1 --out tiny.csv
+                WORKING_DIRECTORY ${WORK_DIR} RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "could not build the tiny training dataset (${rc})")
+endif()
+execute_process(COMMAND ${QIF_CLI} train --data tiny.csv --out no/such/dir/m.qifm --epochs 1
+                WORKING_DIRECTORY ${WORK_DIR}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(FIND "${err}" "cannot open no/such/dir/m.qifm for writing" named)
+if(NOT rc EQUAL 1 OR named EQUAL -1)
+  message(FATAL_ERROR "`qif train --out no/such/dir/m.qifm` exited ${rc}:\n${out}\n${err}")
 endif()

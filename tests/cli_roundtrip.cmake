@@ -1,4 +1,5 @@
-# Drives the qif CLI through a full campaign -> train -> eval round trip.
+# Drives the qif CLI through a full campaign -> train -> eval -> serve
+# round trip: the model `qif train` writes is the .qifm file serving reads.
 file(MAKE_DIRECTORY ${WORK_DIR})
 function(run)
   execute_process(COMMAND ${ARGV} WORKING_DIRECTORY ${WORK_DIR}
@@ -35,11 +36,26 @@ foreach(a dlio1.qds ${at_jobs1})
     message(FATAL_ERROR "campaign dlio --jobs 4 wrote ${b}, which differs from ${a} at --jobs 1")
   endif()
 endforeach()
-run(${QIF_CLI} train --data data.csv --out model.txt --epochs 20)
-run(${QIF_CLI} eval --data data.csv --model model.txt)
+run(${QIF_CLI} train --data data.csv --out model.qifm --epochs 20)
+file(READ ${WORK_DIR}/model.qifm magic LIMIT 4 HEX)
+if(NOT magic STREQUAL "5149464d")  # "QIFM"
+  message(FATAL_ERROR "qif train did not write a .qifm model (starts with hex ${magic})")
+endif()
+run(${QIF_CLI} eval --data data.csv --model model.qifm)
 # The streamed manifest feeds the chunked trainer directly.
-run(${QIF_CLI} eval --data shards/amrex.qdm --model model.txt)
+run(${QIF_CLI} eval --data shards/amrex.qdm --model model.qifm)
+# The trained file publishes into a registry unchanged, and the published
+# version serves batched predictions bit-identical to the sync path.
+file(REMOVE_RECURSE ${WORK_DIR}/reg)
+run(${QIF_CLI} serve publish --model model.qifm --model-dir reg)
+execute_process(COMMAND ${QIF_CLI} serve verify --model-dir reg --requests 400
+                WORKING_DIRECTORY ${WORK_DIR}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(FIND "${out}" " 0 mismatches" zero_mismatches)
+if(NOT rc EQUAL 0 OR zero_mismatches EQUAL -1)
+  message(FATAL_ERROR "serve verify on the published model failed (${rc}):\n${out}\n${err}")
+endif()
 run(${QIF_CLI} dump-trace openpmd --scale 0.5 --out trace.dxt)
-if(NOT EXISTS ${WORK_DIR}/model.txt OR NOT EXISTS ${WORK_DIR}/trace.dxt)
+if(NOT EXISTS ${WORK_DIR}/reg/v1.qifm OR NOT EXISTS ${WORK_DIR}/trace.dxt)
   message(FATAL_ERROR "CLI round trip did not produce its artifacts")
 endif()

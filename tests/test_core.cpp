@@ -420,6 +420,34 @@ TEST(TrainingServer, LoadRejectsFeatureWidthMismatchNamingBothWidths) {
       << "a rejected bundle must leave the deployed model unchanged";
   EXPECT_NO_THROW(deployed.validate_feature_width(0));
   EXPECT_THROW(deployed.validate_feature_width(model_dim + 1), std::runtime_error);
+
+  // Valid .qifm images the training server still refuses: an
+  // attention-kind model and a 1-class (regression-head) kernel model.
+  serve::ServingModel attention;
+  attention.kind = serve::ServingModel::Kind::kAttention;
+  ml::AttentionNetConfig acfg;
+  acfg.per_server_dim = model_dim;
+  attention.attention = ml::AttentionNet(acfg);
+  attention.stdz = deployed.standardizer();
+  serve::ServingModel one_class = deployed.model();
+  ml::KernelNetConfig kcfg = one_class.kernel.config();
+  kcfg.n_classes = 1;
+  one_class.kernel = ml::KernelNet(kcfg);
+  one_class.n_classes = 1;
+  for (const auto& [bad, problem] :
+       {std::make_pair(attention, std::string("attention")),
+        std::make_pair(one_class, std::string("class count"))}) {
+    std::stringstream image;
+    serve::save_model(bad, image);
+    try {
+      deployed.load(image, model_dim);
+      FAIL() << problem << " model must be rejected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(problem), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(deployed.net().snapshot(), before) << problem;
+    EXPECT_EQ(deployed.config().n_classes, 2) << problem;
+  }
 }
 
 TEST(Report, TextTableAlignsColumns) {

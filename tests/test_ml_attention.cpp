@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "qif/ml/attention_net.hpp"
 
@@ -189,23 +188,6 @@ TEST(AttentionNet, LearnsToAttendToTheInformativeServer) {
   ASSERT_GT(positives, 0);
   EXPECT_GT(a1_sum / positives, other_sum / positives / 2.0)
       << "attention did not concentrate on the informative server";
-}
-
-TEST(AttentionNet, SaveLoadPreservesPredictions) {
-  AttentionNet net(tiny_config());
-  sim::Rng rng(7);
-  Matrix x(4, 12);
-  for (auto& v : x.data()) v = rng.normal(0, 1);
-  const Matrix before = net.forward_inference(x);
-  std::stringstream ss;
-  net.save(ss);
-  AttentionNet loaded;
-  loaded.load(ss);
-  EXPECT_EQ(loaded.config().embed_dim, 8);
-  const Matrix after = loaded.forward_inference(x);
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_NEAR(after.data()[i], before.data()[i], 1e-9);
-  }
 }
 
 TEST(AttentionNet, RegressionHeadFitsDegradationLevels) {

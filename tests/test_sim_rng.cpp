@@ -1,13 +1,35 @@
-// Unit and property tests for the deterministic RNG streams.
+// Unit and property tests for the deterministic RNG streams and the
+// FNV-1a helpers they (and every checksum) are built on.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "qif/sim/hash.hpp"
 #include "qif/sim/rng.hpp"
 
 namespace qif::sim {
 namespace {
+
+TEST(Fnv1a, MatchesPublishedFnv1a64Vectors) {
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ull);
+  // Hashing in pieces continues the same stream.
+  EXPECT_EQ(fnv1a("bar", fnv1a("foo")), fnv1a("foobar"));
+  EXPECT_EQ(fnv1a("foobar", 6, kFnvOffsetBasis), fnv1a("foobar"));
+}
+
+TEST(Fnv1a, WordFoldedVariantFoldsWholeWordsAndHashesTheTailBytewise) {
+  // Under 8 bytes there is no whole word: the folded hash is FNV-1a.
+  EXPECT_EQ(fnv1a_words("foobar", 6), fnv1a("foobar"));
+  const char text[] = "12345678ab";
+  std::uint64_t word = 0;
+  std::memcpy(&word, text, sizeof word);
+  const std::uint64_t folded = (kFnvOffsetBasis ^ word) * kFnvPrime;
+  EXPECT_EQ(fnv1a_words(text, 10), fnv1a("ab", folded));
+}
 
 TEST(Rng, SameSeedSameStream) {
   Rng a(42), b(42);

@@ -41,18 +41,19 @@
 //       DIR/<family>.qdm manifest, and verifies the shards merge back
 //       byte-identically to the in-RAM dataset.
 //
-//   qif train --data data.{csv,qds,qdm} --out model.txt [--classes C]
+//   qif train --data data.{csv,qds,qdm} --out model.qifm [--classes C]
 //             [--epochs E] [--jobs N] [--memory-budget MB]
 //       Train the kernel-based model on a dataset (80/20 split) and save
-//       the bundle; prints the held-out confusion matrix.  --jobs N
+//       the bundle as a checksummed .qifm model file (the format serving
+//       reads); prints the held-out confusion matrix.  --jobs N
 //       partitions the training GEMMs across N worker threads (the model
 //       is bit-identical to --jobs 1; N must be a positive integer).  A
 //       .qdm manifest streams its shards through the chunked ingestion
 //       path (same model bytes as in-RAM); --memory-budget caps resident
 //       shard pages in MiB.
 //
-//   qif eval --data data.{csv,qds,qdm} --model model.txt
-//       Evaluate a saved bundle on a dataset.
+//   qif eval --data data.{csv,qds,qdm} --model model.qifm
+//       Evaluate a saved .qifm bundle on a dataset.
 //
 //   qif dataset info <file>
 //   qif dataset head <file> [--rows N]
@@ -88,22 +89,27 @@
 //       --swap-every-ms hot-swaps the model under load.  `verify` replays
 //       every batched prediction through the N=1 sync path and asserts
 //       bit-identical outputs (the batching-changes-nothing contract).
-//       `publish` imports a text "qif-model" bundle (qif train output) or
-//       a binary .qifm into the registry as v<N+1>.qifm.  Without a model
-//       a synthetic bundle is generated (--arch kernel|attention,
+//       `publish` copies a .qifm model (qif train output or another
+//       registry's version) into the registry as v<N+1>.qifm.  Without a
+//       model a synthetic bundle is generated (--arch kernel|attention,
 //       --classes C, --seed K) so smoke runs need no training step.
 //
 // Every subcommand rejects options it does not know (exit 1, naming the
 // option), so a typo or a retired option never silently changes a run.
+// Numeric values are parsed whole and range-checked the same way: trailing
+// junk, a non-number or a value below the option's minimum exits 1 naming
+// the option and the value (--scale/--richness must be finite and > 0,
+// --epochs and --instances >= 1, --classes >= 2, --bins is 2 or 2,5).
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -141,25 +147,39 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? dflt : it->second;
   }
+  /// Every real-valued option is a scale factor (--scale, --richness):
+  /// the whole value must parse as a finite number greater than 0.
   [[nodiscard]] double get_double(const std::string& key, double dflt) const {
-    auto it = options.find(key);
-    return it == options.end() ? dflt : std::atof(it->second.c_str());
-  }
-  [[nodiscard]] int get_int(const std::string& key, int dflt) const {
-    auto it = options.find(key);
-    return it == options.end() ? dflt : std::atoi(it->second.c_str());
-  }
-  /// --jobs N: a worker count, 1 when absent.  Anything but a whole
-  /// positive integer is an error naming the option and the value.
-  [[nodiscard]] int get_jobs() const {
-    const std::string value = get("jobs", "1");
-    int jobs = 0;
+    const auto it = options.find(key);
+    if (it == options.end()) return dflt;
+    const std::string& value = it->second;
+    double v = 0.0;
     const char* end = value.data() + value.size();
-    const auto [ptr, ec] = std::from_chars(value.data(), end, jobs);
-    if (ec != std::errc{} || ptr != end || jobs < 1) {
-      throw std::invalid_argument("--jobs: expected a positive integer, got '" + value + "'");
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v <= 0.0) {
+      throw std::invalid_argument("--" + key + ": expected a finite number > 0, got '" +
+                                  value + "'");
     }
-    return jobs;
+    return v;
+  }
+  /// The whole value must parse as an integer no smaller than `min`;
+  /// anything else is an error naming the option and the value.
+  [[nodiscard]] int get_int(const std::string& key, int dflt,
+                            int min = std::numeric_limits<int>::min()) const {
+    const auto it = options.find(key);
+    if (it == options.end()) return dflt;
+    const std::string& value = it->second;
+    int v = 0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec != std::errc{} || ptr != end || v < min) {
+      const std::string expected = min == std::numeric_limits<int>::min()
+                                       ? "an integer"
+                                       : "an integer >= " + std::to_string(min);
+      throw std::invalid_argument("--" + key + ": expected " + expected + ", got '" +
+                                  value + "'");
+    }
+    return v;
   }
 };
 
@@ -213,7 +233,9 @@ Args parse(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--", 0) == 0 && is_flag_option(a.substr(2))) {
-      args.options[a.substr(2)] = "1";
+      // A string temporary, not the literal: assigning "1" trips a GCC 12
+      // -Wrestrict false positive once parse() is inlined into main().
+      args.options[a.substr(2)] = std::string("1");
     } else if (a.rfind("--", 0) == 0 && i + 1 < argc) {
       args.options[a.substr(2)] = argv[++i];
     } else {
@@ -249,9 +271,9 @@ int usage() {
                "      family `custom` labels any --workload W (trace:/ckpt:/qwp: too)\n"
                "      --mitigate P runs on-vs-off twins over the same seeds and prints"
                " the comparison\n"
-               "  train --data F.{csv,qds,qdm} --out model.txt [--classes C] [--epochs E]"
+               "  train --data F.{csv,qds,qdm} --out model.qifm [--classes C] [--epochs E]"
                " [--jobs N] [--memory-budget MB]\n"
-               "  eval --data F.{csv,qds,qdm} --model model.txt\n"
+               "  eval --data F.{csv,qds,qdm} --model model.qifm\n"
                "  dataset info|head|convert <file> [out] [--rows N] [--compress]\n"
                "  dataset shard <in> <out-prefix> [--rows-per-shard R | --shards N]"
                " [--compress]\n"
@@ -349,7 +371,7 @@ int cmd_workloads(const Args& args) {
       std::fprintf(stderr, "%s\n", workloads::workload_name_error(name).c_str());
       return 1;
     }
-    const int n_ranks = std::max(args.get_int("ranks", 4), 1);
+    const int n_ranks = args.get_int("ranks", 4, 1);
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     const double scale = args.get_double("scale", 1.0);
     workloads::WorkloadProgram prog;
@@ -455,6 +477,7 @@ int cmd_run(const Args& args) {
   const std::string faults_spec = args.get("faults", "");
   if (!faults_spec.empty()) cfg.faults = pfs::faults::parse_fault_plan(faults_spec);
   cfg.mitigation = ctrl::parse_mitigation(args.get("mitigate", ""));
+  const int instances = args.get_int("instances", 15, 1);
 
   const auto solo = core::run_scenario(cfg);
   std::printf("solo: %.2f s timed phase (%.2f s total, %llu events)\n",
@@ -479,7 +502,7 @@ int cmd_run(const Args& args) {
   // the default testbed shape).
   spec.nodes.clear();
   for (pfs::NodeId n = 2; n < cfg.cluster.n_client_nodes; ++n) spec.nodes.push_back(n);
-  spec.instances = args.get_int("instances", 15);
+  spec.instances = instances;
   spec.seed = 77;
   cfg.interference = spec;
   const auto mixed = core::run_scenario(cfg);
@@ -563,8 +586,13 @@ int cmd_campaign(const Args& args) {
   opts.richness = args.get_double("richness", 1.0);
   opts.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   opts.verbose = true;
-  if (args.get("bins", "2") == "2,5") opts.bin_thresholds = {2.0, 5.0};
-  const int jobs = args.get_jobs();
+  const std::string bins = args.get("bins", "2");
+  if (bins == "2,5") {
+    opts.bin_thresholds = {2.0, 5.0};
+  } else if (bins != "2") {
+    throw std::invalid_argument("--bins: expected 2 or 2,5, got '" + bins + "'");
+  }
+  const int jobs = args.get_int("jobs", 1, 1);
   opts.runner = exec::campaign_runner(jobs);
   const std::string faults_spec = args.get("faults", "");
   if (!faults_spec.empty()) opts.faults = pfs::faults::parse_fault_plan(faults_spec);
@@ -695,9 +723,9 @@ int cmd_train(const Args& args) {
   if (args.options.count("data") == 0 || args.options.count("out") == 0) return usage();
   const std::string data = args.get("data", "");
   core::TrainingServerConfig cfg;
-  cfg.n_classes = args.get_int("classes", 2);
-  cfg.train.max_epochs = args.get_int("epochs", cfg.train.max_epochs);
-  cfg.train.jobs = args.get_jobs();
+  cfg.n_classes = args.get_int("classes", 2, 2);
+  cfg.train.max_epochs = args.get_int("epochs", cfg.train.max_epochs, 1);
+  cfg.train.jobs = args.get_int("jobs", 1, 1);
   core::TrainingServer server(cfg);
 
   ml::TrainResult tr;
@@ -709,7 +737,7 @@ int cmd_train(const Args& args) {
     // split_rows + SubsetRows reproduce split_dataset's membership, so
     // the model bytes match the in-RAM path bit for bit.
     const std::size_t budget_mib =
-        static_cast<std::size_t>(std::max(args.get_int("memory-budget", 0), 0));
+        static_cast<std::size_t>(args.get_int("memory-budget", 0, 0));
     const monitor::ShardedDataset ds =
         monitor::ShardedDataset::open(data, budget_mib << 20);
     auto [train_idx, test_idx] = ml::split_rows(ds.size(), 0.2, 17);
@@ -736,15 +764,19 @@ int cmd_train(const Args& args) {
   std::printf("trained on %zu windows (best epoch %d, val macro-F1 %.3f)\n", n_train,
               tr.best_epoch, tr.best_val_macro_f1);
   std::printf("%s", cm.to_string().c_str());
-  std::ofstream out(args.get("out", ""));
+  const std::string out_path = args.get("out", "");
+  std::ofstream out(out_path, std::ios::binary);
+  if (!out) throw std::runtime_error("cannot open " + out_path + " for writing");
   server.save(out);
-  std::printf("model saved to %s\n", args.get("out", "").c_str());
+  out.close();
+  if (!out) throw std::runtime_error("write failed for " + out_path);
+  std::printf("model saved to %s\n", out_path.c_str());
   return 0;
 }
 
 int cmd_eval(const Args& args) {
   if (args.options.count("data") == 0 || args.options.count("model") == 0) return usage();
-  std::ifstream min(args.get("model", ""));
+  std::ifstream min(args.get("model", ""), std::ios::binary);
   if (!min) {
     std::fprintf(stderr, "cannot open %s\n", args.get("model", "").c_str());
     return 1;
@@ -812,7 +844,7 @@ int cmd_dataset(const Args& args) {
     return 0;
   }
   if (verb == "head") {
-    const auto rows = static_cast<std::size_t>(args.get_int("rows", 5));
+    const auto rows = static_cast<std::size_t>(args.get_int("rows", 5, 0));
     const monitor::Dataset ds = materialize_any(path);
     std::ostringstream os;
     // Reuse the CSV writer on a head-sized copy so the column headers are
@@ -842,11 +874,11 @@ int cmd_dataset(const Args& args) {
     if (ds.empty()) throw std::runtime_error("refusing to shard an empty dataset");
     std::size_t rows_per_shard = 0;
     if (args.options.count("shards") != 0) {
-      const auto n_shards = static_cast<std::size_t>(std::max(args.get_int("shards", 1), 1));
+      const auto n_shards = static_cast<std::size_t>(args.get_int("shards", 1, 1));
       rows_per_shard = (ds.size() + n_shards - 1) / n_shards;
     } else {
       rows_per_shard =
-          static_cast<std::size_t>(std::max(args.get_int("rows-per-shard", 65536), 1));
+          static_cast<std::size_t>(args.get_int("rows-per-shard", 65536, 1));
     }
     const std::string manifest =
         monitor::write_sharded_dataset(prefix, ds, rows_per_shard, qds_options(args));
@@ -901,22 +933,16 @@ std::int64_t serve_now_ns() {
       .count();
 }
 
-/// Resolves the bundle to serve: an explicit file (binary .qifm sniffed by
-/// magic, otherwise the text "qif-model" bundle `qif train` writes), the
-/// newest valid registry version, or — with neither — a synthetic bundle
-/// so smoke/latency runs need no training step.
+/// Resolves the bundle to serve: an explicit .qifm file (`qif train`
+/// output or a registry version), the newest valid registry version, or —
+/// with neither — a synthetic bundle so smoke/latency runs need no
+/// training step.
 serve::ServingModel resolve_serving_model(const Args& args) {
   const std::string path = args.get("model", "");
   if (!path.empty()) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw std::runtime_error("cannot open " + path);
-    char magic[4] = {};
-    in.read(magic, sizeof magic);
-    in.seekg(0);
-    if (in.gcount() == 4 && std::memcmp(magic, "QIFM", 4) == 0) {
-      return serve::load_model(in);
-    }
-    return serve::import_text_model(in);
+    return serve::load_model(in);
   }
   const std::string dir = args.get("model-dir", "");
   if (!dir.empty()) {
@@ -930,7 +956,7 @@ serve::ServingModel resolve_serving_model(const Args& args) {
   // identity standardizer — predictions are meaningless but the compute
   // path is the real one, which is all latency and identity runs need.
   serve::ServingModel model;
-  model.n_classes = std::max(args.get_int("classes", 2), 2);
+  model.n_classes = args.get_int("classes", 2, 2);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   const std::string arch = args.get("arch", "kernel");
   if (arch == "attention") {
@@ -1122,9 +1148,9 @@ void print_bench_outcome(const char* mode, const BenchOutcome& o,
 
 int cmd_serve_bench(const Args& args) {
   const serve::ServingModel model = resolve_serving_model(args);
-  const int producers = std::max(args.get_int("producers", 4), 1);
+  const int producers = args.get_int("producers", 4, 1);
   const auto requests =
-      static_cast<std::size_t>(std::max(args.get_int("requests", 20000), 1));
+      static_cast<std::size_t>(args.get_int("requests", 20000, 1));
   const std::size_t per_producer =
       (requests + static_cast<std::size_t>(producers) - 1) /
       static_cast<std::size_t>(producers);
@@ -1136,12 +1162,12 @@ int cmd_serve_bench(const Args& args) {
     return 0;
   }
   serve::ServiceConfig scfg;
-  scfg.ring_capacity = static_cast<std::size_t>(std::max(args.get_int("ring", 1024), 2));
-  scfg.max_batch = static_cast<std::size_t>(std::max(args.get_int("max-batch", 32), 1));
-  scfg.max_delay_us = std::max(args.get_int("max-delay-us", 200), 0);
+  scfg.ring_capacity = static_cast<std::size_t>(args.get_int("ring", 1024, 2));
+  scfg.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 32, 1));
+  scfg.max_delay_us = args.get_int("max-delay-us", 200, 0);
   const auto inflight =
-      static_cast<std::size_t>(std::max(args.get_int("inflight", 64), 1));
-  const int swap_every_ms = std::max(args.get_int("swap-every-ms", 0), 0);
+      static_cast<std::size_t>(args.get_int("inflight", 64, 1));
+  const int swap_every_ms = args.get_int("swap-every-ms", 0, 0);
 
   // The service outlives the stats read below because run_batched_bench
   // joins everything before returning; stats are copied out via the
@@ -1202,16 +1228,16 @@ int cmd_serve_bench(const Args& args) {
 
 int cmd_serve_verify(const Args& args) {
   const serve::ServingModel model = resolve_serving_model(args);
-  const int producers = std::max(args.get_int("producers", 2), 1);
+  const int producers = args.get_int("producers", 2, 1);
   const auto requests =
-      static_cast<std::size_t>(std::max(args.get_int("requests", 2000), 1));
+      static_cast<std::size_t>(args.get_int("requests", 2000, 1));
   const std::size_t per_producer =
       (requests + static_cast<std::size_t>(producers) - 1) /
       static_cast<std::size_t>(producers);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   serve::ServiceConfig scfg;
-  scfg.max_batch = static_cast<std::size_t>(std::max(args.get_int("max-batch", 32), 1));
-  scfg.max_delay_us = std::max(args.get_int("max-delay-us", 100), 0);
+  scfg.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 32, 1));
+  scfg.max_delay_us = args.get_int("max-delay-us", 100, 0);
 
   // Batched pass: every request (and its feature row) is retained so the
   // sync replay below can recompute it on identical inputs.
