@@ -49,7 +49,7 @@ RunStats run_app(const core::TrainingServer* model, bool guarded) {
   monitor::ServerMonitor smon(cluster, sim::kSecond);
   smon.start();
   cluster.trace_log().set_observer(
-      [&cmon](const trace::OpRecord& r) { cmon.observe(r); });
+      [&cmon](const trace::OpRecord& r, trace::TraceLog::Targets t) { cmon.observe(r, t); });
 
   // Bursty interference: heavy write noise during [4, 14) s and [22, 32) s.
   auto burst1 = std::make_unique<workloads::InterferenceDriver>(

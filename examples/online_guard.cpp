@@ -47,7 +47,7 @@ int main() {
   monitor::ServerMonitor smon(cluster, sim::kSecond);
   smon.start();
   cluster.trace_log().set_observer(
-      [&](const trace::OpRecord& r) { cmon.observe(r); });
+      [&](const trace::OpRecord& r, trace::TraceLog::Targets t) { cmon.observe(r, t); });
 
   workloads::JobSpec enzo;
   enzo.workload = "enzo";

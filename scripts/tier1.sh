@@ -4,7 +4,8 @@
 # the qif::exec thread pool, the campaign task graph, and the
 # thread-parallel GEMM path, an AddressSanitizer + UndefinedBehaviorSanitizer
 # leg over the .qds corruption-fuzz and reader tests (so hostile bytes can
-# never turn into a silent out-of-bounds read), over the campaign tests
+# never turn into a silent out-of-bounds read), over the trace log's row
+# blocks and arenas and the monitor reading them, over the campaign tests
 # (so a run stopped at its horizon frees every in-flight op) and over the
 # PFS RPC path (pooled closures, call slots and teardown) and the .qifm
 # model loader, and the pipeline benchmark's own tests.
@@ -68,6 +69,9 @@ echo "=== tier-1: corruption fuzz, campaign leaks and the PFS RPC path under ASa
 # test_qwp flips/truncates every byte of a serialized workload program and
 # test_replay parses crafted DXT dumps — the two text-IR parsers must turn
 # hostile bytes into clean errors, never out-of-bounds reads.
+# test_trace and test_monitor drive the trace log's row blocks and its
+# target/path arenas through the span views (records(), targets(), path(),
+# sorted_for_job copies, log copies and moves, the monitor's observer).
 # test_exec and test_campaign_faults stop scenarios at their horizon with
 # data ops still in flight; LeakSanitizer checks that each is freed.
 # The PFS tests drive the RPC path's pooled continuations: fabric call
@@ -79,7 +83,7 @@ echo "=== tier-1: corruption fuzz, campaign leaks and the PFS RPC path under ASa
 # the one model loader that `qif eval` and `serve publish` feed files to.
 cmake -B build-asan -S . -DQIF_SANITIZE=address
 cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
-  test_qwp test_replay test_exec test_campaign_faults \
+  test_qwp test_replay test_trace test_monitor test_exec test_campaign_faults \
   test_pfs_network test_pfs_client test_pfs_faults test_pfs_disk \
   test_pfs_writeback test_pfs_mdt test_sim_golden test_serve_registry test_core
 ./build-asan/tests/test_qds_fuzz
@@ -87,6 +91,8 @@ cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
 ./build-asan/tests/test_streaming
 ./build-asan/tests/test_qwp
 ./build-asan/tests/test_replay
+./build-asan/tests/test_trace
+./build-asan/tests/test_monitor
 ./build-asan/tests/test_exec
 ./build-asan/tests/test_campaign_faults
 ./build-asan/tests/test_pfs_network

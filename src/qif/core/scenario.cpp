@@ -72,7 +72,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     client_mon.emplace(/*job=*/0, config.window, cluster.n_servers(),
                        cluster.mdt_server_index());
     cluster.trace_log().set_observer(
-        [&m = *client_mon](const trace::OpRecord& rec) { m.observe(rec); });
+        [&m = *client_mon](const trace::OpRecord& rec, trace::TraceLog::Targets targets) {
+          m.observe(rec, targets);
+        });
     server_mon.emplace(cluster, config.window);
     server_mon->start();
   }

@@ -8,7 +8,8 @@ ClientMonitor::ClientMonitor(std::int32_t job, sim::SimDuration window, int n_se
                              int mdt_server_index)
     : job_(job), window_(window), n_servers_(n_servers), mdt_server_index_(mdt_server_index) {}
 
-void ClientMonitor::observe(const trace::OpRecord& rec) {
+void ClientMonitor::observe(const trace::OpRecord& rec,
+                            std::span<const std::int32_t> targets) {
   if (rec.job != job_) return;
   ++ops_observed_;
   // Ops are bucketed by *start* time, matching the labeler, so a window's
@@ -27,8 +28,8 @@ void ClientMonitor::observe(const trace::OpRecord& rec) {
 
   std::vector<int>& servers = scratch_targets_;
   servers.clear();
-  servers.reserve(rec.targets.size());
-  for (std::int32_t t : rec.targets) {
+  servers.reserve(targets.size());
+  for (std::int32_t t : targets) {
     const int s = t == trace::kMdtTarget ? mdt_server_index_ : t;
     if (s >= 0 && s < n_servers_) servers.push_back(s);
   }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "qif/monitor/schema.hpp"
@@ -44,9 +45,10 @@ class ClientMonitor {
   ClientMonitor(std::int32_t job, sim::SimDuration window, int n_servers,
                 int mdt_server_index);
 
-  /// Streaming entry point; attach via TraceLog::set_observer.  Ops of
-  /// other jobs are ignored.
-  void observe(const trace::OpRecord& rec);
+  /// Streaming entry point; attach via TraceLog::set_observer, which hands
+  /// over each row with the targets stored for it.  Ops of other jobs are
+  /// ignored.
+  void observe(const trace::OpRecord& rec, std::span<const std::int32_t> targets);
 
   /// Fills the client-side slice of a per-server feature vector.
   /// `out` must have room for MetricSchema::kClientFeatures doubles.

@@ -18,14 +18,18 @@ PfsClient::PfsClient(Cluster& cluster, NodeId node, Rank rank, std::int32_t job)
           cluster.config().seed, "client-retry/n" + std::to_string(node) + "/r" +
                                      std::to_string(rank) + "/j" + std::to_string(job))) {}
 
+namespace {
+
+/// The target list of a namespace op that touched only the MDS.
+constexpr std::int32_t kMdtOnly[] = {trace::kMdtTarget};
+
+}  // namespace
+
 void PfsClient::emit(OpType type, FileId file, std::int64_t offset, std::int64_t bytes,
-                     sim::SimTime start, std::vector<std::int32_t> targets,
-                     const OpFaultStats* faults, std::string path, std::int32_t stripes,
-                     std::int32_t stripe_hint) {
+                     sim::SimTime start, std::span<const std::int32_t> targets,
+                     const OpFaultStats* faults, std::string_view path,
+                     std::int32_t stripes, std::int32_t stripe_hint) {
   trace::OpRecord rec;
-  rec.path = std::move(path);
-  rec.stripes = stripes;
-  rec.stripe_hint = stripe_hint;
   rec.job = job_;
   rec.rank = rank_;
   rec.op_index = next_op_index_++;
@@ -35,7 +39,6 @@ void PfsClient::emit(OpType type, FileId file, std::int64_t offset, std::int64_t
   rec.bytes = bytes;
   rec.start = start;
   rec.end = sim_.now();
-  rec.targets = std::move(targets);
   if (faults != nullptr) {
     rec.retries = faults->retries;
     rec.timeouts = faults->timeouts;
@@ -44,7 +47,7 @@ void PfsClient::emit(OpType type, FileId file, std::int64_t offset, std::int64_t
     total_timeouts_ += faults->timeouts;
     total_failed_ += faults->failed ? 1 : 0;
   }
-  cluster_.trace_log().record(std::move(rec));
+  cluster_.trace_log().record(rec, targets, path, stripes, stripe_hint);
 }
 
 // ---------------------------------------------------------------------------
@@ -148,8 +151,8 @@ void PfsClient::create(const std::string& path, int stripe_count, OpenCallback c
       },
       [this, path = path, stripe_count, stripe_hint, result, start, cb = std::move(cb),
        stats](bool ok) {
-        emit(OpType::kCreate, ok ? result->file : kInvalidFile, 0, 0, start,
-             {trace::kMdtTarget}, stats.get(), path, stripe_count, stripe_hint);
+        emit(OpType::kCreate, ok ? result->file : kInvalidFile, 0, 0, start, kMdtOnly,
+             stats.get(), path, stripe_count, stripe_hint);
         if (ok) {
           cb(FileHandle{result->file, result->layout, result->size});
         } else {
@@ -172,8 +175,8 @@ void PfsClient::open(const std::string& path, OpenCallback cb) {
         });
       },
       [this, path = path, result, start, cb = std::move(cb), stats](bool ok) {
-        emit(OpType::kOpen, ok ? result->file : kInvalidFile, 0, 0, start,
-             {trace::kMdtTarget}, stats.get(), path);
+        emit(OpType::kOpen, ok ? result->file : kInvalidFile, 0, 0, start, kMdtOnly,
+             stats.get(), path);
         cb(FileHandle{ok && result->ok ? result->file : kInvalidFile, result->layout,
                       result->size});
       },
@@ -193,8 +196,8 @@ void PfsClient::stat(const std::string& path, StatCallback cb) {
         });
       },
       [this, path = path, result, start, cb = std::move(cb), stats](bool ok) {
-        emit(OpType::kStat, ok ? result->file : kInvalidFile, 0, 0, start,
-             {trace::kMdtTarget}, stats.get(), path);
+        emit(OpType::kStat, ok ? result->file : kInvalidFile, 0, 0, start, kMdtOnly,
+             stats.get(), path);
         cb(ok && result->ok, result->size);
       },
       stats.get());
@@ -220,18 +223,17 @@ void PfsClient::close(const FileHandle& fh, DataCallback cb) {
          cb = std::move(cb)](bool) mutable {
           // Whether or not the flush succeeded, the namespace close still
           // goes to the MDS (its own attempt budget, shared op stats).
-          finish_close(file, start, {ost, trace::kMdtTarget}, std::move(stats),
-                       std::move(cb));
+          finish_close(file, start, ost, std::move(stats), std::move(cb));
         },
         raw_stats);
     return;
   }
   small_dirty_.erase(fh.file);
-  finish_close(fh.file, start, {trace::kMdtTarget}, std::move(stats), std::move(cb));
+  finish_close(fh.file, start, std::nullopt, std::move(stats), std::move(cb));
 }
 
 void PfsClient::finish_close(FileId file, sim::SimTime start,
-                             std::vector<std::int32_t> targets,
+                             std::optional<OstId> flushed_ost,
                              std::shared_ptr<OpFaultStats> faults, DataCallback cb) {
   OpFaultStats* const raw_faults = faults.get();
   rpc_faultable(
@@ -239,21 +241,23 @@ void PfsClient::finish_close(FileId file, sim::SimTime start,
       [this, file](RpcDone done) {
         cluster_.mdt().close(file, [done](const MetaResult&) { done(); });
       },
-      [this, file, start, targets = std::move(targets), faults = std::move(faults),
+      [this, file, start, flushed_ost, faults = std::move(faults),
        cb = std::move(cb)](bool) mutable {
-        emit(OpType::kClose, file, 0, 0, start, std::move(targets), faults.get());
+        const std::int32_t targets[] = {flushed_ost.value_or(trace::kMdtTarget),
+                                        trace::kMdtTarget};
+        emit(OpType::kClose, file, 0, 0, start,
+             std::span<const std::int32_t>(targets).first(flushed_ost ? 2 : 1), faults.get());
         cb();
       },
       raw_faults);
 }
 
-void PfsClient::note_small_write(const FileHandle& fh, std::int64_t offset, std::int64_t len) {
-  auto [it, inserted] = small_dirty_.try_emplace(fh.file);
+void PfsClient::note_small_write(FileId file, const Extent& first, std::int64_t len) {
+  auto [it, inserted] = small_dirty_.try_emplace(file);
   SmallDirty& d = it->second;
   if (inserted) {
-    const auto extents = fh.layout->map(offset, len);
-    d.ost = extents.front().ost;
-    d.disk_offset = extents.front().disk_offset;
+    d.ost = first.ost;
+    d.disk_offset = first.disk_offset;
   }
   d.bytes += len;
   if (d.bytes > params_.small_file_flush_bytes) d.oversized = true;
@@ -268,8 +272,7 @@ void PfsClient::unlink(const std::string& path, DataCallback cb) {
         cluster_.mdt().unlink(path, [done](const MetaResult&) { done(); });
       },
       [this, path = path, start, stats, cb = std::move(cb)](bool) {
-        emit(OpType::kUnlink, kInvalidFile, 0, 0, start, {trace::kMdtTarget}, stats.get(),
-             path);
+        emit(OpType::kUnlink, kInvalidFile, 0, 0, start, kMdtOnly, stats.get(), path);
         cb();
       },
       stats.get());
@@ -284,8 +287,7 @@ void PfsClient::mkdir(const std::string& path, DataCallback cb) {
         cluster_.mdt().mkdir(path, [done](const MetaResult&) { done(); });
       },
       [this, path = path, start, stats, cb = std::move(cb)](bool) {
-        emit(OpType::kMkdir, kInvalidFile, 0, 0, start, {trace::kMdtTarget}, stats.get(),
-             path);
+        emit(OpType::kMkdir, kInvalidFile, 0, 0, start, kMdtOnly, stats.get(), path);
         cb();
       },
       stats.get());
@@ -346,7 +348,8 @@ void PfsClient::data_op(bool is_write, const FileHandle& fh, std::int64_t offset
   // Chunk the stripe extents to the RPC size cap.
   op->chunks.clear();
   op->targets.clear();
-  for (const Extent& e : fh.layout->map(offset, len)) {
+  fh.layout->map(offset, len, op->extents);
+  for (const Extent& e : op->extents) {
     std::int64_t pos = 0;
     while (pos < e.len) {
       const std::int64_t take = std::min(params_.max_rpc_bytes, e.len - pos);
@@ -360,7 +363,7 @@ void PfsClient::data_op(bool is_write, const FileHandle& fh, std::int64_t offset
   op->next = 0;
   op->outstanding = 0;
   op->remaining = op->chunks.size();
-  if (is_write) note_small_write(fh, offset, len);
+  if (is_write) note_small_write(fh.file, op->extents.front(), len);
   pump(op);
 }
 
@@ -436,7 +439,7 @@ void PfsClient::chunk_done(DataOp* op, int port, std::int64_t len, sim::SimTime 
     cluster_.mdt().note_size(op->file, op->offset + op->len);
   }
   emit(op->is_write ? OpType::kWrite : OpType::kRead, op->file, op->offset, op->len,
-       op->start, std::move(op->targets), &op->stats);
+       op->start, op->targets, &op->stats);
   DataCallback cb = std::move(op->cb);
   if (op->throttle_wait) {
     op->drained = true;  // the pending wake-up retires the record

@@ -20,7 +20,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "qif/pfs/layout.hpp"
@@ -155,15 +158,17 @@ class PfsClient {
 
   /// One POSIX data op from issue to completion.  Records are pooled per
   /// client (recycled once the op has drained), so a chunk completion
-  /// captures a plain pointer and the chunk vector keeps its capacity.
+  /// captures a plain pointer and the extent, chunk and target vectors keep
+  /// their capacity.
   struct DataOp {
     bool is_write = false;
     FileId file = kInvalidFile;
     std::int64_t offset = 0;
     std::int64_t len = 0;
     sim::SimTime start = 0;
+    std::vector<Extent> extents;        ///< the layout mapping of [offset, offset+len)
     std::vector<Chunk> chunks;
-    std::vector<std::int32_t> targets;  ///< moved into the op's record
+    std::vector<std::int32_t> targets;  ///< copied into the op's trace row
     OpFaultStats stats;                 ///< shared by every chunk RPC
     DataCallback cb;
     std::size_t next = 0;         ///< first chunk not yet issued
@@ -174,10 +179,10 @@ class PfsClient {
   };
 
   /// `path`/`stripes`/`stripe_hint` are the replay-metadata columns of the
-  /// record (empty/zero for data ops); see trace::OpRecord.
+  /// record (empty/zero for data ops); see trace::OpMeta.
   void emit(OpType type, FileId file, std::int64_t offset, std::int64_t bytes,
-            sim::SimTime start, std::vector<std::int32_t> targets,
-            const OpFaultStats* faults = nullptr, std::string path = {},
+            sim::SimTime start, std::span<const std::int32_t> targets,
+            const OpFaultStats* faults = nullptr, std::string_view path = {},
             std::int32_t stripes = 0, std::int32_t stripe_hint = -1);
   void data_op(bool is_write, const FileHandle& fh, std::int64_t offset, std::int64_t len,
                DataCallback cb);
@@ -188,8 +193,11 @@ class PfsClient {
   void throttle_wake(DataOp* op);
   DataOp* acquire_data_op();
   void release_data_op(DataOp* op);
-  void note_small_write(const FileHandle& fh, std::int64_t offset, std::int64_t len);
-  void finish_close(FileId file, sim::SimTime start, std::vector<std::int32_t> targets,
+  /// `first` is the first extent of the write's mapping.
+  void note_small_write(FileId file, const Extent& first, std::int64_t len);
+  /// `flushed_ost` is the OST a flush-on-close just committed to, if any;
+  /// the close row targets it ahead of the MDT.
+  void finish_close(FileId file, sim::SimTime start, std::optional<OstId> flushed_ost,
                     std::shared_ptr<OpFaultStats> faults, DataCallback cb);
 
   /// Runs one RPC under the timeout/retry machine when `rpc_deadline` > 0;

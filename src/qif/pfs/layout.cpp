@@ -31,8 +31,8 @@ FileLayout::FileLayout(FileId file, std::vector<OstId> osts, std::int64_t stripe
   }
 }
 
-std::vector<Extent> FileLayout::map(std::int64_t offset, std::int64_t len) const {
-  std::vector<Extent> out;
+void FileLayout::map(std::int64_t offset, std::int64_t len, std::vector<Extent>& out) const {
+  out.clear();
   const auto n = static_cast<std::int64_t>(osts_.size());
   std::int64_t pos = offset;
   std::int64_t remaining = len;
@@ -53,7 +53,6 @@ std::vector<Extent> FileLayout::map(std::int64_t offset, std::int64_t len) const
     pos += take;
     remaining -= take;
   }
-  return out;
 }
 
 }  // namespace qif::pfs

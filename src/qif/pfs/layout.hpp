@@ -31,9 +31,11 @@ class FileLayout {
   [[nodiscard]] std::int64_t stripe_size() const { return stripe_size_; }
 
   /// Splits the file range [offset, offset+len) into per-OST disk extents,
-  /// in file order.  Adjacent pieces on the same OST within one stripe row
-  /// are already coalesced by construction.
-  [[nodiscard]] std::vector<Extent> map(std::int64_t offset, std::int64_t len) const;
+  /// in file order, replacing the contents of `out` (a caller-owned buffer,
+  /// so a steady stream of data ops maps without allocating).  Adjacent
+  /// pieces on the same OST within one stripe row are already coalesced by
+  /// construction.
+  void map(std::int64_t offset, std::int64_t len, std::vector<Extent>& out) const;
 
   /// Disk address where this file's object on stripe slot `idx` starts.
   [[nodiscard]] std::int64_t object_base(std::size_t idx) const { return bases_[idx]; }

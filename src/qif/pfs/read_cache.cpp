@@ -24,10 +24,12 @@ void ReadCache::erase_range(std::int64_t lo, std::int64_t hi) {
       cached_bytes_ -= it->second;
       extents_.erase(it);
     } else {
+      // The surviving tail re-keys the same node.
       cached_bytes_ -= hi - it->first;
-      const std::int64_t tail = end - hi;
-      extents_.erase(it);
-      extents_[hi] = tail;
+      auto node = extents_.extract(it);
+      node.key() = hi;
+      node.mapped() = end - hi;
+      extents_.insert(std::move(node));
       break;
     }
   }
@@ -37,22 +39,26 @@ void ReadCache::insert(std::int64_t offset, std::int64_t len) {
   if (!enabled() || len <= 0) return;
   // Replace any overlap, then add the fresh extent (keeps accounting exact).
   erase_range(offset, offset + len);
-  // Coalesce with neighbours.
-  std::int64_t off = offset;
-  std::int64_t l = len;
-  if (auto it = extents_.lower_bound(off); it != extents_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second == off) {
-      off = prev->first;
-      l += prev->second;
-      extents_.erase(prev);
+  // Coalesce with neighbours, reusing an existing node: an append grows its
+  // predecessor in place, and an extent starting right after the new one
+  // (the tail a same-offset rewrite left) is re-keyed to the new start.
+  auto next = extents_.lower_bound(offset);
+  const bool joins_next = next != extents_.end() && next->first == offset + len;
+  auto prev = next == extents_.begin() ? extents_.end() : std::prev(next);
+  if (prev != extents_.end() && prev->first + prev->second == offset) {
+    prev->second += len;
+    if (joins_next) {
+      prev->second += next->second;
+      extents_.erase(next);
     }
+  } else if (joins_next) {
+    auto node = extents_.extract(next);
+    node.key() = offset;
+    node.mapped() += len;
+    extents_.insert(std::move(node));
+  } else {
+    extents_.emplace_hint(next, offset, len);
   }
-  if (auto it = extents_.find(off + l); it != extents_.end()) {
-    l += it->second;
-    extents_.erase(it);
-  }
-  extents_[off] = l;
   cached_bytes_ += len;
   fifo_.emplace_back(offset, len);
   evict_to_budget();

@@ -29,26 +29,40 @@ void WritebackCache::admit(PendingWrite w) {
   // absorbing every overlapped successor).  dirty_bytes_ must track the
   // *extent* bytes, not the sum of write sizes: an overlapping rewrite
   // adds no new dirty data, and counting it twice would never drain.
+  // The merged extent keeps an existing node's start key when the write
+  // appends onto (or overlaps) its predecessor or rewrites at an extent's
+  // offset; that node grows in place instead of being erased and
+  // re-inserted.
   std::int64_t off = w.disk_offset;
   std::int64_t len = w.len;
   std::int64_t erased = 0;
-  if (auto it = dirty_extents_.lower_bound(off); it != dirty_extents_.begin()) {
-    auto prev = std::prev(it);
+  auto keep = dirty_extents_.end();
+  auto it = dirty_extents_.lower_bound(off);
+  const auto absorb = [&](std::int64_t start, std::int64_t extent_len) {
+    erased += extent_len;
+    len = std::max(off + len, start + extent_len) - std::min(off, start);
+    off = std::min(off, start);
+  };
+  if (it != dirty_extents_.begin()) {
+    const auto prev = std::prev(it);
     if (prev->first + prev->second >= off) {
-      erased += prev->second;
-      len = std::max(prev->first + prev->second, off + len) - prev->first;
-      off = prev->first;
-      dirty_extents_.erase(prev);
+      absorb(prev->first, prev->second);
+      keep = prev;
     }
   }
-  for (auto it = dirty_extents_.lower_bound(off);
-       it != dirty_extents_.end() && it->first <= off + len;
-       it = dirty_extents_.lower_bound(off)) {
-    erased += it->second;
-    len = std::max(off + len, it->first + it->second) - off;
-    dirty_extents_.erase(it);
+  if (keep == dirty_extents_.end() && it != dirty_extents_.end() && it->first == off) {
+    absorb(it->first, it->second);
+    keep = it++;
   }
-  dirty_extents_[off] = len;
+  while (it != dirty_extents_.end() && it->first <= off + len) {
+    absorb(it->first, it->second);
+    it = dirty_extents_.erase(it);
+  }
+  if (keep != dirty_extents_.end()) {
+    keep->second = len;
+  } else {
+    dirty_extents_.emplace_hint(it, off, len);
+  }
   dirty_bytes_ += len - erased;
   const auto copy_time = sim::from_seconds(static_cast<double>(w.len) / params_.memcpy_rate_bps);
   // The ack itself is the event (an InlineTask cannot nest inside another
@@ -130,10 +144,11 @@ void WritebackCache::start_flushes() {
     if (it->second == chunk) {
       dirty_extents_.erase(it);
     } else {
-      const std::int64_t new_off = it->first + chunk;
-      const std::int64_t new_len = it->second - chunk;
-      dirty_extents_.erase(it);
-      dirty_extents_[new_off] = new_len;
+      // The extent's remainder re-keys the same node.
+      auto node = dirty_extents_.extract(it);
+      node.key() += chunk;
+      node.mapped() -= chunk;
+      dirty_extents_.insert(std::move(node));
     }
     flush_cursor_ = chunk_off + chunk;
     ++flush_inflight_;

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "qif/pfs/types.hpp"
 #include "qif/trace/text_cursor.hpp"
@@ -26,10 +27,10 @@ pfs::OpType op_from_name(std::string_view name, std::int64_t line, std::int64_t 
 // path must be whitespace-free for the same reason.
 constexpr std::string_view kEmptyPath = "-";
 
-void check_path_writable(const std::string& path) {
+void check_path_writable(std::string_view path) {
   for (const char c : path) {
     if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-      throw std::invalid_argument("DXT path contains whitespace: '" + path + "'");
+      throw std::invalid_argument("DXT path contains whitespace: '" + std::string(path) + "'");
     }
   }
 }
@@ -41,12 +42,13 @@ void write_dxt(std::ostream& os, const TraceLog& log) {
   os << "# job rank op_index type file offset bytes start_ns end_ns path stripes hint"
         " targets...\n";
   for (const OpRecord& r : log.records()) {
-    check_path_writable(r.path);
+    const OpMeta meta = log.meta(r);
+    check_path_writable(meta.path);
     os << r.job << ' ' << r.rank << ' ' << r.op_index << ' ' << pfs::op_name(r.type)
        << ' ' << r.file << ' ' << r.offset << ' ' << r.bytes << ' ' << r.start << ' '
-       << r.end << ' ' << (r.path.empty() ? kEmptyPath : std::string_view(r.path)) << ' '
-       << r.stripes << ' ' << r.stripe_hint;
-    for (const auto t : r.targets) os << ' ' << t;
+       << r.end << ' ' << (meta.path.empty() ? kEmptyPath : meta.path) << ' '
+       << meta.stripes << ' ' << meta.stripe_hint;
+    for (const auto t : log.targets(r)) os << ' ' << t;
     os << '\n';
   }
 }
@@ -54,6 +56,7 @@ void write_dxt(std::ostream& os, const TraceLog& log) {
 trace::TraceLog read_dxt(std::istream& is) {
   TraceLog log;
   std::string line;
+  std::vector<std::int32_t> targets;  // one line's targets, reused
   std::int64_t line_no = 0;
   int version = 1;  // headerless dumps predate the version header
   bool saw_line = false;
@@ -100,19 +103,21 @@ trace::TraceLog read_dxt(std::istream& is) {
     r.bytes = fields.next_int<std::int64_t>("DXT bytes");
     r.start = fields.next_int<sim::SimTime>("DXT start");
     r.end = fields.next_int<sim::SimTime>("DXT end");
+    OpMeta meta;
     if (version >= 2) {
       const std::string_view path = fields.next_required("DXT path");
-      if (path != kEmptyPath) r.path = std::string(path);
-      r.stripes = fields.next_int<std::int32_t>("DXT stripes");
-      r.stripe_hint = fields.next_int<std::int32_t>("DXT stripe_hint");
+      if (path != kEmptyPath) meta.path = path;
+      meta.stripes = fields.next_int<std::int32_t>("DXT stripes");
+      meta.stripe_hint = fields.next_int<std::int32_t>("DXT stripe_hint");
     }
     // Every remaining token is a target server id; "1 2 x" must throw with
     // the position of "x", not drop it.
+    targets.clear();
     for (std::string_view tok = fields.next(); !tok.empty(); tok = fields.next()) {
-      r.targets.push_back(
+      targets.push_back(
           parse_int_cell<std::int32_t>(tok, "DXT target", line_no, fields.column));
     }
-    log.record(std::move(r));
+    log.record(r, targets, meta.path, meta.stripes, meta.stripe_hint);
   }
   return log;
 }

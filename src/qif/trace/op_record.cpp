@@ -1,10 +1,121 @@
 #include "qif/trace/op_record.hpp"
 
 #include <algorithm>
+#include <new>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "qif/sim/hash.hpp"
 
 namespace qif::trace {
+namespace {
+
+/// Appends `items` to `arena` and returns the index of the first one.
+/// Arena indices are 32-bit: they live in the 80-byte row.
+template <typename T>
+std::uint32_t append(std::vector<T>& arena, std::span<const T> items, const char* what) {
+  const std::size_t first = arena.size();
+  if (items.size() > UINT32_MAX - first) {
+    throw std::length_error(std::string("trace log ") + what + " arena is full");
+  }
+  arena.insert(arena.end(), items.begin(), items.end());
+  return static_cast<std::uint32_t>(first);
+}
+
+}  // namespace
+
+TraceLog::TraceLog(const TraceLog& other)
+    : targets_(other.targets_), meta_(other.meta_), paths_(other.paths_),
+      observer_(other.observer_) {
+  blocks_.reserve(other.blocks_.size());
+  for (std::size_t done = 0; done < other.size_; done += kBlockRows) {
+    add_block();
+    const std::size_t n = std::min(kBlockRows, other.size_ - done);
+    std::copy_n(other.blocks_[done >> kBlockShift].get(), n, blocks_.back().get());
+  }
+  size_ = other.size_;
+}
+
+TraceLog::TraceLog(TraceLog&& other) noexcept
+    : blocks_(std::move(other.blocks_)), size_(std::exchange(other.size_, 0)),
+      targets_(std::move(other.targets_)), meta_(std::move(other.meta_)),
+      paths_(std::move(other.paths_)), observer_(std::move(other.observer_)) {
+  other.clear();
+}
+
+TraceLog& TraceLog::operator=(TraceLog other) noexcept {
+  std::swap(blocks_, other.blocks_);
+  std::swap(size_, other.size_);
+  std::swap(targets_, other.targets_);
+  std::swap(meta_, other.meta_);
+  std::swap(paths_, other.paths_);
+  std::swap(observer_, other.observer_);
+  return *this;
+}
+
+void TraceLog::add_block() {
+  // Raw storage: a row is constructed in place when recorded, so a block's
+  // untouched tail costs address space, not resident memory.
+  Block block(static_cast<OpRecord*>(::operator new(kBlockRows * sizeof(OpRecord))));
+  blocks_.push_back(std::move(block));
+}
+
+void TraceLog::record(const OpRecord& row, Targets targets, std::string_view path,
+                      std::int32_t stripes, std::int32_t stripe_hint) {
+  if (size_ == blocks_.size() * kBlockRows) add_block();
+  OpRecord* slot = ::new (blocks_[size_ >> kBlockShift].get() + (size_ & kBlockMask)) OpRecord(row);
+  slot->targets_first_ = append(targets_, targets, "target");
+  slot->targets_count_ = static_cast<std::uint32_t>(targets.size());
+  slot->meta_ = OpRecord::kNoMeta;
+  if (!path.empty() || stripes != 0 || stripe_hint != -1) {
+    if (meta_.size() >= OpRecord::kNoMeta) {
+      throw std::length_error("trace log metadata table is full");
+    }
+    MetaRow m;
+    m.path_first = append(paths_, std::span<const char>(path.data(), path.size()), "path");
+    m.path_len = static_cast<std::uint32_t>(path.size());
+    m.stripes = stripes;
+    m.stripe_hint = stripe_hint;
+    slot->meta_ = static_cast<std::uint32_t>(meta_.size());
+    meta_.push_back(m);
+  }
+  ++size_;
+  if (observer_) observer_(*slot, Targets(targets_.data() + slot->targets_first_, targets.size()));
+}
+
+TraceLog::Targets TraceLog::targets(const OpRecord& rec) const {
+  if (rec.targets_first_ > targets_.size() ||
+      rec.targets_count_ > targets_.size() - rec.targets_first_) {
+    throw std::out_of_range("op record's targets lie outside this trace log");
+  }
+  return {targets_.data() + rec.targets_first_, rec.targets_count_};
+}
+
+OpMeta TraceLog::meta(const OpRecord& rec) const {
+  if (rec.meta_ == OpRecord::kNoMeta) return {};
+  if (rec.meta_ >= meta_.size()) {
+    throw std::out_of_range("op record's metadata lies outside this trace log");
+  }
+  const MetaRow& m = meta_[rec.meta_];
+  return {std::string_view(paths_.data() + m.path_first, m.path_len), m.stripes,
+          m.stripe_hint};
+}
+
+void TraceLog::clear() {
+  blocks_.clear();
+  size_ = 0;
+  targets_.clear();
+  meta_.clear();
+  paths_.clear();
+}
+
+void TraceLog::reserve(std::size_t n) {
+  const std::size_t blocks = (n + kBlockRows - 1) >> kBlockShift;
+  blocks_.reserve(blocks);
+  while (blocks_.size() < blocks) add_block();
+  targets_.reserve(n);
+}
 
 std::vector<OpRecord> TraceLog::sorted_for_job(std::int32_t job) const {
   // The log is completion-ordered: ranks interleave, but each rank's ops
@@ -15,15 +126,15 @@ std::vector<OpRecord> TraceLog::sorted_for_job(std::int32_t job) const {
   std::vector<std::size_t> picked;
   std::int64_t lo = 0;
   std::int64_t hi = -1;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const OpRecord& r = records_[i];
+  for (std::size_t i = 0; i < size_; ++i) {
+    const OpRecord& r = row(i);
     if (r.job != job) continue;
     lo = picked.empty() ? r.rank : std::min<std::int64_t>(lo, r.rank);
     hi = picked.empty() ? r.rank : std::max<std::int64_t>(hi, r.rank);
     picked.push_back(i);
   }
-  const auto rank_of = [this](std::size_t i) { return records_[i].rank; };
-  const auto index_of = [this](std::size_t i) { return records_[i].op_index; };
+  const auto rank_of = [this](std::size_t i) { return row(i).rank; };
+  const auto index_of = [this](std::size_t i) { return row(i).op_index; };
   std::vector<std::size_t> order(picked.size());
   std::vector<std::size_t> bucket_end;  // exclusive end of each rank's run in `order`
   const std::int64_t span = hi - lo + 1;
@@ -53,7 +164,7 @@ std::vector<OpRecord> TraceLog::sorted_for_job(std::int32_t job) const {
   }
   std::vector<OpRecord> out;
   out.reserve(order.size());
-  for (const std::size_t i : order) out.push_back(records_[i]);
+  for (const std::size_t i : order) out.push_back(row(i));
   return out;
 }
 
@@ -80,7 +191,7 @@ std::uint64_t trace_fingerprint(const TraceLog& log) {
     mix(r.retries);
     mix(r.timeouts);
     mix(r.failed ? 1 : 0);
-    for (const auto t : r.targets) mix(t);
+    for (const auto t : log.targets(r)) mix(t);
   }
   return h;
 }

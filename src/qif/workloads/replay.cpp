@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -67,28 +68,29 @@ void append_gap(RankAssembly& a, const trace::OpRecord& rec, const ReplayOptions
   a.prog.body.push_back(std::move(think));
 }
 
-std::string need_path(const trace::OpRecord& rec) {
-  if (rec.path.empty()) {
+std::string need_path(const trace::TraceLog& log, const trace::OpRecord& rec) {
+  const std::string_view path = log.path(rec);
+  if (path.empty()) {
     fail("trace op (" + describe(rec) +
          ") has no path metadata — DXT version 1 dumps cannot be replayed; re-dump "
          "the trace with this build to capture paths");
   }
-  return rec.path;
+  return std::string(path);
 }
 
-void append_op(RankAssembly& a, const trace::OpRecord& rec) {
+void append_op(RankAssembly& a, const trace::TraceLog& log, const trace::OpRecord& rec) {
   OpSpec op;
   switch (rec.type) {
     case pfs::OpType::kCreate:
       op.kind = OpSpec::Kind::kCreate;
-      op.path = need_path(rec);
+      op.path = need_path(log, rec);
       op.slot = a.slot_for(rec.file, /*allocate_mapping=*/true);
-      op.stripes = rec.stripes;
-      op.stripe_hint = rec.stripe_hint;
+      op.stripes = log.meta(rec).stripes;
+      op.stripe_hint = log.meta(rec).stripe_hint;
       break;
     case pfs::OpType::kOpen:
       op.kind = OpSpec::Kind::kOpen;
-      op.path = need_path(rec);
+      op.path = need_path(log, rec);
       op.slot = a.slot_for(rec.file, /*allocate_mapping=*/true);
       break;
     case pfs::OpType::kRead:
@@ -100,7 +102,7 @@ void append_op(RankAssembly& a, const trace::OpRecord& rec) {
       break;
     case pfs::OpType::kStat:
       op.kind = OpSpec::Kind::kStat;
-      op.path = need_path(rec);
+      op.path = need_path(log, rec);
       break;
     case pfs::OpType::kClose:
       op.kind = OpSpec::Kind::kClose;
@@ -108,11 +110,11 @@ void append_op(RankAssembly& a, const trace::OpRecord& rec) {
       break;
     case pfs::OpType::kUnlink:
       op.kind = OpSpec::Kind::kUnlink;
-      op.path = need_path(rec);
+      op.path = need_path(log, rec);
       break;
     case pfs::OpType::kMkdir:
       op.kind = OpSpec::Kind::kMkdir;
-      op.path = need_path(rec);
+      op.path = need_path(log, rec);
       break;
   }
   a.prog.body.push_back(std::move(op));
@@ -175,7 +177,7 @@ WorkloadProgram build_replay_programs(const trace::TraceLog& log,
     }
     ++a.next_op_index;
     append_gap(a, rec, options);
-    append_op(a, rec);
+    append_op(a, log, rec);
     a.prev_end = rec.end;
   }
   for (int r = 0; r < n_ranks; ++r) {

@@ -71,3 +71,15 @@ string(FIND "${err}" "cannot open no/such/dir/m.qifm for writing" named)
 if(NOT rc EQUAL 1 OR named EQUAL -1)
   message(FATAL_ERROR "`qif train --out no/such/dir/m.qifm` exited ${rc}:\n${out}\n${err}")
 endif()
+
+# `qif dump-trace --out` checks its file the same way: an unopenable path
+# fails naming it instead of reporting records that were never written.
+execute_process(COMMAND ${QIF_CLI} dump-trace ior-easy-write --scale 0.1
+                        --out no/such/dir/t.dxt
+                WORKING_DIRECTORY ${WORK_DIR}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(FIND "${err}" "cannot open no/such/dir/t.dxt for writing" named)
+string(FIND "${out}" "wrote" claimed)
+if(NOT rc EQUAL 1 OR named EQUAL -1 OR NOT claimed EQUAL -1)
+  message(FATAL_ERROR "`qif dump-trace --out no/such/dir/t.dxt` exited ${rc}:\n${out}\n${err}")
+endif()

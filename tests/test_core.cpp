@@ -308,7 +308,7 @@ TEST(OnlinePredictor, EmitsPredictionEveryWindow) {
   monitor::ServerMonitor smon(cluster, sim::kSecond);
   smon.start();
   cluster.trace_log().set_observer(
-      [&](const trace::OpRecord& r) { cmon.observe(r); });
+      [&](const trace::OpRecord& r, trace::TraceLog::Targets t) { cmon.observe(r, t); });
 
   workloads::JobSpec spec;
   spec.workload = "ior-easy-write";
@@ -353,7 +353,7 @@ TEST(OnlinePredictor, HistoryRingEvictsOldestBeyondCapacity) {
   monitor::ServerMonitor smon(cluster, sim::kSecond);
   smon.start();
   cluster.trace_log().set_observer(
-      [&](const trace::OpRecord& r) { cmon.observe(r); });
+      [&](const trace::OpRecord& r, trace::TraceLog::Targets t) { cmon.observe(r, t); });
 
   workloads::JobSpec spec;
   spec.workload = "ior-easy-write";

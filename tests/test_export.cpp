@@ -1,6 +1,7 @@
 // Tests for the DXT-style trace dump and dataset CSV / .qds round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -11,9 +12,10 @@
 namespace qif::monitor {
 namespace {
 
+using Targets = std::vector<std::int32_t>;
+
 trace::OpRecord op(std::int32_t job, pfs::Rank rank, std::int64_t idx, pfs::OpType type,
-                   std::int64_t offset, std::int64_t bytes,
-                   std::vector<std::int32_t> targets) {
+                   std::int64_t offset, std::int64_t bytes) {
   trace::OpRecord r;
   r.job = job;
   r.rank = rank;
@@ -23,23 +25,19 @@ trace::OpRecord op(std::int32_t job, pfs::Rank rank, std::int64_t idx, pfs::OpTy
   r.bytes = bytes;
   r.start = 1000 + idx;
   r.end = 2000 + idx;
-  r.targets = std::move(targets);
   return r;
 }
 
 TEST(DxtExport, RoundTripPreservesEveryField) {
   trace::TraceLog log;
-  trace::OpRecord read = op(0, 1, 0, pfs::OpType::kRead, 4096, 1 << 20, {0, 3});
+  trace::OpRecord read = op(0, 1, 0, pfs::OpType::kRead, 4096, 1 << 20);
   read.file = 9;
-  log.record(read);
+  log.record(read, Targets{0, 3});
   // The replay-metadata columns (file, path, stripes, hint) round-trip too.
-  trace::OpRecord create = op(2, 0, 5, pfs::OpType::kCreate, 0, 0, {trace::kMdtTarget});
+  trace::OpRecord create = op(2, 0, 5, pfs::OpType::kCreate, 0, 0);
   create.file = 17;
-  create.path = "/ior/job2/file_r0";
-  create.stripes = 4;
-  create.stripe_hint = 2;
-  log.record(create);
-  log.record(op(0, 1, 1, pfs::OpType::kWrite, 1 << 20, 47008, {5}));
+  log.record(create, Targets{trace::kMdtTarget}, "/ior/job2/file_r0", 4, 2);
+  log.record(op(0, 1, 1, pfs::OpType::kWrite, 1 << 20, 47008), Targets{5});
 
   std::stringstream ss;
   trace::write_dxt(ss, log);
@@ -57,16 +55,16 @@ TEST(DxtExport, RoundTripPreservesEveryField) {
     EXPECT_EQ(a.bytes, b.bytes);
     EXPECT_EQ(a.start, b.start);
     EXPECT_EQ(a.end, b.end);
-    EXPECT_EQ(a.targets, b.targets);
-    EXPECT_EQ(a.path, b.path);
-    EXPECT_EQ(a.stripes, b.stripes);
-    EXPECT_EQ(a.stripe_hint, b.stripe_hint);
+    EXPECT_TRUE(std::ranges::equal(log.targets(a), loaded.targets(b)));
+    EXPECT_EQ(log.path(a), loaded.path(b));
+    EXPECT_EQ(log.meta(a).stripes, loaded.meta(b).stripes);
+    EXPECT_EQ(log.meta(a).stripe_hint, loaded.meta(b).stripe_hint);
   }
 }
 
 TEST(DxtExport, DumpIsCommentedAndGreppable) {
   trace::TraceLog log;
-  log.record(op(0, 0, 0, pfs::OpType::kStat, 0, 0, {trace::kMdtTarget}));
+  log.record(op(0, 0, 0, pfs::OpType::kStat, 0, 0), Targets{trace::kMdtTarget});
   std::stringstream ss;
   trace::write_dxt(ss, log);
   const std::string text = ss.str();
@@ -83,7 +81,7 @@ TEST(DxtExport, RejectsTrailingGarbageOnLine) {
   // A numeric line with extra junk after the target list must not be
   // silently accepted.
   trace::TraceLog log;
-  log.record(op(0, 0, 0, pfs::OpType::kRead, 0, 8, {1}));
+  log.record(op(0, 0, 0, pfs::OpType::kRead, 0, 8), Targets{1});
   std::stringstream ss;
   trace::write_dxt(ss, log);
   std::string text = ss.str();
@@ -94,9 +92,8 @@ TEST(DxtExport, RejectsTrailingGarbageOnLine) {
 
 TEST(DxtExport, WriterRejectsWhitespaceInPaths) {
   trace::TraceLog log;
-  trace::OpRecord rec = op(0, 0, 0, pfs::OpType::kOpen, 0, 0, {trace::kMdtTarget});
-  rec.path = "/dir/has space";
-  log.record(rec);
+  log.record(op(0, 0, 0, pfs::OpType::kOpen, 0, 0), Targets{trace::kMdtTarget},
+             "/dir/has space");
   std::stringstream ss;
   EXPECT_THROW(trace::write_dxt(ss, log), std::invalid_argument);
 }
@@ -110,8 +107,8 @@ TEST(DxtExport, HeaderlessInputParsesAsVersion1) {
   EXPECT_EQ(r.offset, 4096);
   EXPECT_EQ(r.bytes, 8);
   EXPECT_EQ(r.file, pfs::kInvalidFile);
-  EXPECT_TRUE(r.path.empty());
-  EXPECT_EQ(r.targets, (std::vector<std::int32_t>{1, 2}));
+  EXPECT_TRUE(loaded.path(r).empty());
+  EXPECT_TRUE(std::ranges::equal(loaded.targets(r), Targets{1, 2}));
 }
 
 /// Pins the reader diagnostics' exact line/column format.  These strings

@@ -14,9 +14,15 @@
 namespace qif::monitor {
 namespace {
 
-trace::OpRecord data_op(pfs::OpType type, std::int64_t bytes, sim::SimTime start,
-                        sim::SimDuration dur, std::vector<std::int32_t> targets,
-                        std::int32_t job = 0) {
+/// A row and the targets a trace log would hand the monitor with it.
+struct TestOp {
+  trace::OpRecord rec;
+  std::vector<std::int32_t> targets;
+};
+
+TestOp data_op(pfs::OpType type, std::int64_t bytes, sim::SimTime start,
+               sim::SimDuration dur, std::vector<std::int32_t> targets,
+               std::int32_t job = 0) {
   trace::OpRecord r;
   r.job = job;
   r.rank = 0;
@@ -24,9 +30,10 @@ trace::OpRecord data_op(pfs::OpType type, std::int64_t bytes, sim::SimTime start
   r.bytes = bytes;
   r.start = start;
   r.end = start + dur;
-  r.targets = std::move(targets);
-  return r;
+  return {r, std::move(targets)};
 }
+
+void observe(ClientMonitor& mon, const TestOp& op) { mon.observe(op.rec, op.targets); }
 
 TEST(MetricSchema, DimensionsAndLayout) {
   MetricSchema schema;
@@ -85,10 +92,10 @@ TEST(MetricSchema, FaultVariantAppendsClientFaultBlock) {
 
 TEST(ClientMonitor, AggregatesPerWindowAndServer) {
   ClientMonitor mon(/*job=*/0, sim::kSecond, /*n_servers=*/3, /*mdt=*/2);
-  mon.observe(data_op(pfs::OpType::kRead, 1 << 20, 0, 10 * sim::kMillisecond, {0}));
-  mon.observe(data_op(pfs::OpType::kWrite, 2 << 20, sim::kMillisecond,
+  observe(mon, data_op(pfs::OpType::kRead, 1 << 20, 0, 10 * sim::kMillisecond, {0}));
+  observe(mon, data_op(pfs::OpType::kWrite, 2 << 20, sim::kMillisecond,
                       20 * sim::kMillisecond, {0, 1}));
-  mon.observe(data_op(pfs::OpType::kStat, 0, 2 * sim::kMillisecond, sim::kMillisecond,
+  observe(mon, data_op(pfs::OpType::kStat, 0, 2 * sim::kMillisecond, sim::kMillisecond,
                       {trace::kMdtTarget}));
   const ClientWindow* c0 = mon.cell(0, 0);
   ASSERT_NE(c0, nullptr);
@@ -108,7 +115,7 @@ TEST(ClientMonitor, AggregatesPerWindowAndServer) {
 
 TEST(ClientMonitor, BucketsByStartTime) {
   ClientMonitor mon(0, sim::kSecond, 2, 1);
-  mon.observe(data_op(pfs::OpType::kRead, 1, 2 * sim::kSecond + 1, 10, {0}));
+  observe(mon, data_op(pfs::OpType::kRead, 1, 2 * sim::kSecond + 1, 10, {0}));
   EXPECT_EQ(mon.cell(0, 0), nullptr);
   ASSERT_NE(mon.cell(2, 0), nullptr);
   EXPECT_EQ(mon.window_indices(), (std::vector<std::int64_t>{2}));
@@ -116,14 +123,14 @@ TEST(ClientMonitor, BucketsByStartTime) {
 
 TEST(ClientMonitor, IgnoresOtherJobs) {
   ClientMonitor mon(0, sim::kSecond, 2, 1);
-  mon.observe(data_op(pfs::OpType::kRead, 1, 0, 10, {0}, /*job=*/3));
+  observe(mon, data_op(pfs::OpType::kRead, 1, 0, 10, {0}, /*job=*/3));
   EXPECT_EQ(mon.ops_observed(), 0);
   EXPECT_EQ(mon.cell(0, 0), nullptr);
 }
 
 TEST(ClientMonitor, FillFeaturesDerivedMetrics) {
   ClientMonitor mon(0, sim::kSecond, 2, 1);
-  mon.observe(data_op(pfs::OpType::kRead, 10 << 20, 0, 100 * sim::kMillisecond, {0}));
+  observe(mon, data_op(pfs::OpType::kRead, 10 << 20, 0, 100 * sim::kMillisecond, {0}));
   double f[MetricSchema::kClientFeatures];
   mon.fill_features(0, 0, f);
   EXPECT_DOUBLE_EQ(f[0], 1.0);                       // n_read
@@ -193,7 +200,8 @@ TEST_F(ServerMonitorFixture, AssemblerCombinesClientAndServerBlocks) {
   ClientMonitor cmon(0, sim::kSecond, cluster->n_servers(), cluster->mdt_server_index());
   ServerMonitor smon(*cluster, sim::kSecond);
   smon.start();
-  cluster->trace_log().set_observer([&](const trace::OpRecord& r) { cmon.observe(r); });
+  cluster->trace_log().set_observer(
+      [&](const trace::OpRecord& r, trace::TraceLog::Targets t) { cmon.observe(r, t); });
   pfs::PfsClient& client = cluster->make_client(0, 0, 0);
   client.create("/x", 1, [&](pfs::FileHandle fh) {
     client.read(fh, 0, 1 << 20, [] {});

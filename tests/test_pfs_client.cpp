@@ -84,8 +84,9 @@ TEST_F(ClusterFixture, MetadataOpsTargetMdt) {
   client.mkdir("/d", [] {});
   s.run_all();
   const auto& rec = cluster->trace_log().records().back();
-  ASSERT_EQ(rec.targets.size(), 1u);
-  EXPECT_EQ(rec.targets[0], trace::kMdtTarget);
+  const auto targets = cluster->trace_log().targets(rec);
+  ASSERT_EQ(targets.size(), 1u);
+  EXPECT_EQ(targets[0], trace::kMdtTarget);
 }
 
 TEST_F(ClusterFixture, StripedWriteTargetsAllItsOsts) {
@@ -96,7 +97,10 @@ TEST_F(ClusterFixture, StripedWriteTargetsAllItsOsts) {
   });
   s.run_all();
   for (const auto& r : cluster->trace_log().records()) {
-    if (r.type == OpType::kWrite) targets = r.targets;
+    if (r.type == OpType::kWrite) {
+      const auto stored = cluster->trace_log().targets(r);
+      targets.assign(stored.begin(), stored.end());
+    }
   }
   EXPECT_EQ(targets.size(), 6u);
 }
@@ -132,9 +136,10 @@ TEST_F(ClusterFixture, SmallFileCloseFlushesSynchronously) {
   const auto& close_rec = cluster->trace_log().records().back();
   ASSERT_EQ(close_rec.type, OpType::kClose);
   // The close targets both the OST (flush) and the MDT (namespace close).
-  ASSERT_EQ(close_rec.targets.size(), 2u);
-  EXPECT_EQ(close_rec.targets[0], ost);
-  EXPECT_EQ(close_rec.targets[1], trace::kMdtTarget);
+  const auto close_targets = cluster->trace_log().targets(close_rec);
+  ASSERT_EQ(close_targets.size(), 2u);
+  EXPECT_EQ(close_targets[0], ost);
+  EXPECT_EQ(close_targets[1], trace::kMdtTarget);
   // And the close is the expensive op, not the buffered write.
   EXPECT_GT(close_rec.duration(), 0);
 }

@@ -9,9 +9,15 @@ namespace {
 constexpr std::int64_t kStripe = 1 << 20;
 constexpr std::int64_t kCap = 1ll << 40;
 
+std::vector<Extent> map_of(const FileLayout& layout, std::int64_t offset, std::int64_t len) {
+  std::vector<Extent> out;
+  layout.map(offset, len, out);
+  return out;
+}
+
 TEST(FileLayout, SingleStripeMapsContiguously) {
   FileLayout layout(1, {3}, kStripe, kCap);
-  const auto extents = layout.map(0, 10 << 20);
+  const auto extents = map_of(layout, 0, 10 << 20);
   ASSERT_EQ(extents.size(), 1u);
   EXPECT_EQ(extents[0].ost, 3);
   EXPECT_EQ(extents[0].len, 10 << 20);
@@ -20,7 +26,7 @@ TEST(FileLayout, SingleStripeMapsContiguously) {
 
 TEST(FileLayout, RoundRobinAcrossStripes) {
   FileLayout layout(2, {0, 1, 2}, kStripe, kCap);
-  const auto extents = layout.map(0, 3 * kStripe);
+  const auto extents = map_of(layout, 0, 3 * kStripe);
   ASSERT_EQ(extents.size(), 3u);
   EXPECT_EQ(extents[0].ost, 0);
   EXPECT_EQ(extents[1].ost, 1);
@@ -30,8 +36,8 @@ TEST(FileLayout, RoundRobinAcrossStripes) {
 
 TEST(FileLayout, SecondStripeRowContinuesObjectSequentially) {
   FileLayout layout(3, {0, 1}, kStripe, kCap);
-  const auto row0 = layout.map(0, kStripe);
-  const auto row1 = layout.map(2 * kStripe, kStripe);  // second row, ost 0
+  const auto row0 = map_of(layout, 0, kStripe);
+  const auto row1 = map_of(layout, 2 * kStripe, kStripe);  // second row, ost 0
   ASSERT_EQ(row0.size(), 1u);
   ASSERT_EQ(row1.size(), 1u);
   EXPECT_EQ(row0[0].ost, row1[0].ost);
@@ -40,7 +46,7 @@ TEST(FileLayout, SecondStripeRowContinuesObjectSequentially) {
 
 TEST(FileLayout, UnalignedRangeSplitsAtStripeBoundary) {
   FileLayout layout(4, {0, 1}, kStripe, kCap);
-  const auto extents = layout.map(kStripe / 2, kStripe);
+  const auto extents = map_of(layout, kStripe / 2, kStripe);
   ASSERT_EQ(extents.size(), 2u);
   EXPECT_EQ(extents[0].ost, 0);
   EXPECT_EQ(extents[0].len, kStripe / 2);
@@ -50,10 +56,23 @@ TEST(FileLayout, UnalignedRangeSplitsAtStripeBoundary) {
 
 TEST(FileLayout, SubStripeReadStaysOnOneOst) {
   FileLayout layout(5, {0, 1, 2}, kStripe, kCap);
-  const auto extents = layout.map(kStripe + 100, 1000);
+  const auto extents = map_of(layout, kStripe + 100, 1000);
   ASSERT_EQ(extents.size(), 1u);
   EXPECT_EQ(extents[0].ost, 1);
   EXPECT_EQ(extents[0].len, 1000);
+}
+
+TEST(FileLayout, MapReplacesTheBufferAndKeepsItsCapacity) {
+  FileLayout layout(8, {0, 1, 2}, kStripe, kCap);
+  std::vector<Extent> buf;
+  layout.map(0, 3 * kStripe, buf);
+  ASSERT_EQ(buf.size(), 3u);
+  const Extent* storage = buf.data();
+  layout.map(kStripe + 100, 1000, buf);
+  ASSERT_EQ(buf.size(), 1u);  // replaced, not appended
+  EXPECT_EQ(buf[0].ost, 1);
+  EXPECT_EQ(buf[0].len, 1000);
+  EXPECT_EQ(buf.data(), storage);  // no reallocation for a smaller mapping
 }
 
 TEST(FileLayout, ObjectBasesAreMibAligned) {
@@ -99,7 +118,7 @@ TEST_P(LayoutPartitionTest, ExtentsPartitionRange) {
   std::vector<OstId> osts;
   for (int i = 0; i < n_osts; ++i) osts.push_back(static_cast<OstId>(i));
   FileLayout layout(7, osts, kStripe, kCap);
-  const auto extents = layout.map(offset, len);
+  const auto extents = map_of(layout, offset, len);
   std::int64_t total = 0;
   for (const auto& e : extents) {
     EXPECT_GT(e.len, 0);

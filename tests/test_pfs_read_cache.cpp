@@ -1,6 +1,12 @@
 // Tests for the opt-in server read cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "qif/pfs/ost.hpp"
 #include "qif/pfs/read_cache.hpp"
 #include "qif/sim/simulation.hpp"
@@ -41,6 +47,55 @@ TEST(ReadCache, OverlappingInsertDoesNotDoubleCount) {
   cache.insert(4096, 8192);  // overlaps the second half
   EXPECT_EQ(cache.cached_bytes(), 12288);
   EXPECT_TRUE(cache.lookup(0, 12288));
+}
+
+TEST(ReadCache, AppendsAndRewritesMatchAByteSetModel) {
+  // Appends grow an extent in place and same-offset rewrites re-key the
+  // surviving tail; whatever node a change reuses, the cache must hold
+  // exactly the byte set of a FIFO-evicted bitmap, with the same hits.
+  constexpr std::int64_t kSpan = 1 << 12;
+  constexpr std::int64_t kCapacity = 1500;
+  ReadCache cache(ReadCacheParams{kCapacity});
+  std::vector<bool> bytes(kSpan, false);
+  std::deque<std::pair<std::int64_t, std::int64_t>> fifo;
+  const auto set = [&](std::int64_t off, std::int64_t len, bool v) {
+    for (std::int64_t b = off; b < off + len; ++b) bytes[static_cast<std::size_t>(b)] = v;
+  };
+  const auto count = [&] { return std::count(bytes.begin(), bytes.end(), true); };
+  std::mt19937_64 rng(5);
+  std::int64_t cursor = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::int64_t len = 1 + static_cast<std::int64_t>(rng() % 200);
+    std::int64_t off = static_cast<std::int64_t>(rng() % (kSpan - 200));
+    switch (rng() % 4) {
+      case 0:  // streaming append
+        off = cursor;
+        cursor = (cursor + len) % (kSpan - 200);
+        break;
+      case 1:  // rewrite at an earlier write's offset
+        if (!fifo.empty()) off = fifo[rng() % fifo.size()].first;
+        break;
+      default:
+        break;
+    }
+    if (rng() % 3 == 0) {
+      bool covered = true;
+      for (std::int64_t b = off; b < off + len; ++b) {
+        covered = covered && bytes[static_cast<std::size_t>(b)];
+      }
+      ASSERT_EQ(cache.lookup(off, len), covered) << "step " << step;
+      if (covered) fifo.emplace_back(off, len);
+      continue;
+    }
+    cache.insert(off, len);
+    set(off, len, true);
+    fifo.emplace_back(off, len);
+    while (count() > kCapacity && !fifo.empty()) {
+      set(fifo.front().first, fifo.front().second, false);
+      fifo.pop_front();
+    }
+    ASSERT_EQ(cache.cached_bytes(), count()) << "step " << step;
+  }
 }
 
 TEST(ReadCache, FifoEvictionRespectsBudget) {

@@ -2,6 +2,10 @@
 // round robin admission, and extent coalescing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "qif/pfs/disk.hpp"
 #include "qif/pfs/writeback.hpp"
 #include "qif/sim/simulation.hpp"
@@ -110,6 +114,45 @@ TEST(Writeback, ContiguousWritesCoalesceIntoOneExtentFlush) {
   // All 8 MiB contiguous: few large flush writes rather than 8 scattered.
   EXPECT_LE(disk.counters().writes_completed, 3);
   EXPECT_EQ(cache.total_flushed(), 8 << 20);
+}
+
+TEST(Writeback, InPlaceGrowthKeepsDirtyBytesExact) {
+  // Appends onto a predecessor and same-offset rewrites grow the existing
+  // extent in place; dirty accounting must still equal the byte set the
+  // writes covered, and the whole set must reach the disk.
+  sim::Simulation s;
+  DiskModel disk(s, fast_disk(), 1);
+  WritebackParams wp;
+  wp.background_flush_delay = sim::kSecond;  // nothing flushes while writing
+  WritebackCache cache(s, disk, wp);
+  constexpr std::int64_t kSpan = 1 << 16;
+  std::vector<bool> dirty(kSpan, false);
+  std::mt19937_64 rng(11);
+  std::int64_t cursor = 0;
+  std::vector<std::int64_t> offsets;
+  for (int step = 0; step < 2000; ++step) {
+    const std::int64_t len = 1 + static_cast<std::int64_t>(rng() % 512);
+    std::int64_t off = static_cast<std::int64_t>(rng() % (kSpan - 512));
+    switch (rng() % 3) {
+      case 0:  // append onto the previous write
+        off = cursor;
+        break;
+      case 1:  // rewrite at an earlier write's offset
+        if (!offsets.empty()) off = offsets[rng() % offsets.size()];
+        break;
+      default:
+        break;
+    }
+    cursor = (off + len) % (kSpan - 512);
+    offsets.push_back(off);
+    cache.write(off, len, nullptr);
+    for (std::int64_t b = off; b < off + len; ++b) dirty[static_cast<std::size_t>(b)] = true;
+    ASSERT_EQ(cache.dirty_bytes(), std::count(dirty.begin(), dirty.end(), true))
+        << "step " << step;
+  }
+  s.run_all();
+  EXPECT_EQ(cache.dirty_bytes(), 0);
+  EXPECT_EQ(cache.total_flushed(), std::count(dirty.begin(), dirty.end(), true));
 }
 
 TEST(Writeback, AbsorbedAndFlushedTotalsAgree) {

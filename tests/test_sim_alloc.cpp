@@ -22,6 +22,7 @@
 #include "qif/sim/fair_link.hpp"
 #include "qif/sim/pipe.hpp"
 #include "qif/sim/simulation.hpp"
+#include "qif/trace/op_record.hpp"
 
 namespace {
 
@@ -161,14 +162,16 @@ TEST(EngineAllocations, FabricRpcsAreAllocationFreeInSteadyState) {
 }
 
 // A healthy single-chunk write, issued back to back the way a rank's op
-// stream does.  What is left per op: the record's `targets` vector (the
-// trace keeps it), the extent vector FileLayout::map returns, and the
-// write-back cache's dirty-extent map node; the lazy flusher adds a disk
-// request (queue node + completion vector) now and then.  The same chain
-// made 14 allocations per op while the RPC path was built from nested
+// stream does, allocates nothing per op: its trace row lands in a reserved
+// TraceLog, the layout maps into the DataOp's own extent buffer, and the
+// rewrite grows the write-back cache's dirty extent in place.  Only the
+// lazy flusher allocates now and then (a disk request's queue node and
+// completion vector): 3 allocations over the 256 measured ops.  The same
+// chain made 3 allocations per op while each trace row carried its own
+// target vector, and 14 while the RPC path was built from nested
 // std::function continuations with per-chunk copies of the op's completion.
 TEST(ClientAllocations, HealthySingleChunkWriteStaysAtItsPinnedCount) {
-  constexpr std::uint64_t kPinnedAllocsPerWrite = 3;
+  constexpr std::uint64_t kPinnedAllocsPerWrite = 0;
   constexpr std::uint64_t kFlusherSlack = 8;
   Simulation s;
   pfs::ClusterConfig cfg;
@@ -194,6 +197,26 @@ TEST(ClientAllocations, HealthySingleChunkWriteStaysAtItsPinnedCount) {
   EXPECT_LE(allocs, kPinnedAllocsPerWrite * kOps + kFlusherSlack)
       << "per-op allocations grew: " << static_cast<double>(allocs) / kOps;
   EXPECT_EQ(cluster.trace_log().size(), 64u + kOps);
+}
+
+// Recording data-op rows into a reserved TraceLog copies each row into its
+// block and each target into the arena: no allocation per row.
+TEST(TraceAllocations, RecordingIntoAReservedLogIsAllocationFree) {
+  constexpr int kRows = 10000;
+  trace::TraceLog log;
+  log.reserve(kRows);
+  trace::OpRecord row;
+  row.type = pfs::OpType::kWrite;
+  row.bytes = 64 << 10;
+  const std::int32_t target[] = {3};
+  const AllocWindow w;
+  for (int i = 0; i < kRows; ++i) {
+    row.op_index = i;
+    log.record(row, target);
+  }
+  EXPECT_EQ(w.count(), 0u) << "recording a data-op row allocated";
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(kRows));
+  EXPECT_EQ(log.targets(log.records().back()).front(), 3);
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ std::uint64_t trace_hash(const trace::TraceLog& log) {
     mix(r.bytes);
     mix(r.start);
     mix(r.end);
-    for (const auto t : r.targets) mix(t);
+    for (const auto t : log.targets(r)) mix(t);
   }
   return h;
 }

@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <ostream>
 #include <random>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "qif/trace/dxt.hpp"
 #include "qif/trace/labeler.hpp"
 #include "qif/trace/matcher.hpp"
 #include "qif/trace/op_record.hpp"
@@ -32,7 +35,7 @@ OpRecord make_op(std::int32_t job, pfs::Rank rank, std::int64_t index, sim::SimT
 TEST(TraceLog, RecordsAndObserver) {
   TraceLog log;
   int observed = 0;
-  log.set_observer([&](const OpRecord&) { ++observed; });
+  log.set_observer([&](const OpRecord&, TraceLog::Targets) { ++observed; });
   log.record(make_op(0, 0, 0, 0, 10));
   log.record(make_op(0, 0, 1, 10, 10));
   EXPECT_EQ(log.size(), 2u);
@@ -121,6 +124,190 @@ TEST(TraceLog, SortedForJobEqualsStableSortReference) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The row format: fixed-width rows whose targets and replay metadata live in
+// the log's arenas.
+// ---------------------------------------------------------------------------
+
+using Ids = std::vector<std::int32_t>;
+
+/// A hand-built log covering every shape a row can take: a create with a
+/// layout request, a multi-target write, another job's mkdir, a faulted
+/// read, a flush-on-close close (OST + MDT), a degenerate write with no
+/// targets, and a stat repeating an earlier path.
+TraceLog sample_log() {
+  TraceLog log;
+  const auto row = [](std::int32_t job, pfs::Rank rank, std::int64_t index, pfs::OpType type,
+                      pfs::FileId file, std::int64_t offset, std::int64_t bytes,
+                      sim::SimTime start, sim::SimTime end) {
+    OpRecord r;
+    r.job = job;
+    r.rank = rank;
+    r.op_index = index;
+    r.type = type;
+    r.file = file;
+    r.offset = offset;
+    r.bytes = bytes;
+    r.start = start;
+    r.end = end;
+    return r;
+  };
+  log.record(row(0, 0, 0, pfs::OpType::kCreate, 17, 0, 0, 100, 250), Ids{kMdtTarget},
+             "/ior/file_r0", 4, 2);
+  log.record(row(0, 0, 1, pfs::OpType::kWrite, 17, 0, 3 << 20, 260, 900), Ids{0, 1, 2});
+  log.record(row(1, 1, 0, pfs::OpType::kMkdir, pfs::kInvalidFile, 0, 0, 50, 300),
+             Ids{kMdtTarget}, "/d1");
+  OpRecord faulted = row(0, 1, 0, pfs::OpType::kRead, 17, 4096, 8192, 300, 700);
+  faulted.retries = 2;
+  faulted.timeouts = 3;
+  faulted.failed = true;
+  log.record(faulted, Ids{2});
+  log.record(row(0, 0, 2, pfs::OpType::kClose, 17, 0, 0, 910, 1000), Ids{1, kMdtTarget});
+  log.record(row(0, 0, 3, pfs::OpType::kWrite, pfs::kInvalidFile, 0, 0, 1000, 1001));
+  log.record(row(0, 1, 1, pfs::OpType::kStat, 17, 0, 0, 705, 720), Ids{kMdtTarget},
+             "/ior/file_r0");
+  return log;
+}
+
+/// sample_log() as the DXT v2 writer of the vector/string record format
+/// dumped it.
+constexpr const char* kSampleDxt =
+    "# DXT qif 2\n"
+    "# job rank op_index type file offset bytes start_ns end_ns path stripes hint"
+    " targets...\n"
+    "0 0 0 create 17 0 0 100 250 /ior/file_r0 4 2 -1\n"
+    "0 0 1 write 17 0 3145728 260 900 - 0 -1 0 1 2\n"
+    "1 1 0 mkdir -1 0 0 50 300 /d1 0 -1 -1\n"
+    "0 1 0 read 17 4096 8192 300 700 - 0 -1 2\n"
+    "0 0 2 close 17 0 0 910 1000 - 0 -1 1 -1\n"
+    "0 0 3 write -1 0 0 1000 1001 - 0 -1\n"
+    "0 1 1 stat 17 0 0 705 720 /ior/file_r0 0 -1 -1\n";
+
+std::string dump(const TraceLog& log) {
+  std::ostringstream os;
+  write_dxt(os, log);
+  return os.str();
+}
+
+TEST(TraceRows, RowIsAFixedWidthTriviallyCopyableRecord) {
+  static_assert(std::is_trivially_copyable_v<OpRecord>);
+  static_assert(sizeof(OpRecord) <= 80);
+  const OpRecord hand_built;  // resolves to nothing through any log
+  const TraceLog log = sample_log();
+  EXPECT_TRUE(log.targets(hand_built).empty());
+  EXPECT_TRUE(log.path(hand_built).empty());
+  EXPECT_EQ(log.meta(hand_built).stripes, 0);
+  EXPECT_EQ(log.meta(hand_built).stripe_hint, -1);
+}
+
+TEST(TraceRows, ArenasResolveEveryRow) {
+  const TraceLog log = sample_log();
+  ASSERT_EQ(log.size(), 7u);
+  const auto rows = log.records();
+  EXPECT_TRUE(std::ranges::equal(log.targets(rows[0]), Ids{kMdtTarget}));
+  EXPECT_EQ(log.path(rows[0]), "/ior/file_r0");
+  EXPECT_EQ(log.meta(rows[0]).stripes, 4);
+  EXPECT_EQ(log.meta(rows[0]).stripe_hint, 2);
+  EXPECT_TRUE(std::ranges::equal(log.targets(rows[1]), Ids{0, 1, 2}));
+  EXPECT_TRUE(log.path(rows[1]).empty());
+  EXPECT_EQ(log.meta(rows[1]).stripe_hint, -1);
+  EXPECT_EQ(log.path(rows[2]), "/d1");
+  EXPECT_TRUE(rows[3].failed);
+  EXPECT_TRUE(std::ranges::equal(log.targets(rows[4]), Ids{1, kMdtTarget}));
+  EXPECT_TRUE(log.targets(rows[5]).empty());
+  EXPECT_EQ(log.path(rows[6]), "/ior/file_r0");
+}
+
+TEST(TraceRows, DxtV2WriteReadWriteIsByteIdentical) {
+  const TraceLog log = sample_log();
+  const std::string first = dump(log);
+  EXPECT_EQ(first, kSampleDxt);
+  std::istringstream in(first);
+  const TraceLog loaded = read_dxt(in);
+  // The dump carries no fault outcome (retries/timeouts/failed), so the
+  // text, not the fingerprint, is what must survive the round trip.
+  EXPECT_EQ(dump(loaded), first);
+}
+
+TEST(TraceRows, DxtV1DumpStillReads) {
+  std::istringstream in(
+      "0 0 0 read 4096 8 1000 2000 1 2\n"
+      "0 0 1 stat 0 0 2000 2100 -1\n");
+  const TraceLog loaded = read_dxt(in);
+  ASSERT_EQ(loaded.size(), 2u);
+  const auto rows = loaded.records();
+  EXPECT_EQ(rows[0].offset, 4096);
+  EXPECT_EQ(rows[0].file, pfs::kInvalidFile);
+  EXPECT_TRUE(std::ranges::equal(loaded.targets(rows[0]), Ids{1, 2}));
+  EXPECT_TRUE(std::ranges::equal(loaded.targets(rows[1]), Ids{kMdtTarget}));
+  EXPECT_TRUE(loaded.path(rows[1]).empty());  // v1 carries no paths
+}
+
+TEST(TraceRows, SortedCopiesResolveLikeTheOriginalRows) {
+  const TraceLog log = sample_log();
+  const auto sorted = log.sorted_for_job(0);
+  ASSERT_EQ(sorted.size(), 6u);
+  for (const OpRecord& copy : sorted) {
+    const auto original = std::find_if(
+        log.records().begin(), log.records().end(), [&](const OpRecord& r) {
+          return r.job == copy.job && r.rank == copy.rank && r.op_index == copy.op_index;
+        });
+    ASSERT_NE(original, log.records().end());
+    EXPECT_TRUE(std::ranges::equal(log.targets(copy), log.targets(*original)));
+    EXPECT_EQ(log.path(copy), log.path(*original));
+    EXPECT_EQ(log.meta(copy).stripes, log.meta(*original).stripes);
+    EXPECT_EQ(log.meta(copy).stripe_hint, log.meta(*original).stripe_hint);
+  }
+  // A copy of the log resolves its own rows the same way.
+  const TraceLog copied = log;
+  EXPECT_EQ(dump(copied), dump(log));
+}
+
+TEST(TraceRows, ObserverSeesTheStoredTargetSpan) {
+  TraceLog log;
+  std::vector<Ids> seen;
+  std::vector<const std::int32_t*> seen_at;
+  log.set_observer([&](const OpRecord&, TraceLog::Targets targets) {
+    seen.emplace_back(targets.begin(), targets.end());
+    seen_at.push_back(targets.data());
+  });
+  log.reserve(8);  // the arena does not move while the rows are recorded
+  log.record(make_op(0, 0, 0, 0, 10), Ids{4, 5});
+  log.record(make_op(0, 0, 1, 10, 10), Ids{kMdtTarget});
+  ASSERT_EQ(seen.size(), 2u);
+  const auto rows = log.records();
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(std::ranges::equal(log.targets(rows[i]), seen[i])) << i;
+    EXPECT_EQ(log.targets(rows[i]).data(), seen_at[i]) << i;
+  }
+}
+
+TEST(TraceRows, FingerprintMatchesTheVectorRecordAlgorithm) {
+  // Computed by the fingerprint of the vector/string record format on the
+  // same rows; the row/arena split must not move any pinned fingerprint.
+  EXPECT_EQ(trace_fingerprint(sample_log()), 0xebce4e0c5fba37a8ull);
+}
+
+TEST(TraceRows, LogsSpanManyBlocksAndMoveWithoutCopying) {
+  TraceLog log;
+  constexpr int kRows = 10000;  // several row blocks
+  for (int i = 0; i < kRows; ++i) {
+    log.record(make_op(0, i % 3, i / 3, i, 1), Ids{i % 7});
+  }
+  const OpRecord* first = &log.records().front();
+  TraceLog moved = std::move(log);
+  EXPECT_TRUE(log.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
+  ASSERT_EQ(moved.size(), static_cast<std::size_t>(kRows));
+  EXPECT_EQ(&moved.records().front(), first);
+  std::int64_t checked = 0;
+  for (const OpRecord& r : moved.records()) {
+    EXPECT_EQ(moved.targets(r).front(), static_cast<std::int32_t>(checked % 7));
+    ++checked;
+  }
+  EXPECT_EQ(checked, kRows);
+  EXPECT_EQ(moved.records()[kRows - 1].start, kRows - 1);
 }
 
 TEST(TraceMatcher, PairsByRankAndIndex) {

@@ -916,10 +916,13 @@ int cmd_dump_trace(const Args& args) {
   cfg.monitors = false;
   apply_cluster_options(cfg, args);
   const auto res = core::run_scenario(cfg);
-  std::ofstream out(args.get("out", ""));
+  const std::string out_path = args.get("out", "");
+  std::ofstream out(out_path, std::ios::binary);
+  if (!out) throw std::runtime_error("cannot open " + out_path + " for writing");
   trace::write_dxt(out, res.trace);
-  std::printf("wrote %zu op records to %s\n", res.trace.size(),
-              args.get("out", "").c_str());
+  out.close();
+  if (!out) throw std::runtime_error("write failed for " + out_path);
+  std::printf("wrote %zu op records to %s\n", res.trace.size(), out_path.c_str());
   return 0;
 }
 
