@@ -13,14 +13,18 @@
 //   mmap:      map_dataset_qds over a real file — validate + borrow in
 //              place, no payload copy
 //   qlz:       the compressed .qds path (save/load + on-disk bytes)
-// and prints one JSON object to stdout; scripts/bench_data.sh wraps this
-// into BENCH_data.json.  The headline number is load_speedup_qds_vs_csv:
-// the binary reader is O(read) where CSV re-parses every cell.
+// and prints one JSON object to stdout.  The headline number is
+// load_speedup_qds_vs_csv: the binary reader is O(read) where CSV
+// re-parses every cell.  The pipeline benchmark (perfbench/) gates the
+// .qds write and mmap times; the CSV, qlz and streaming legs are measured
+// only here.
 //
 // --streaming-rows N adds a "streaming" leg: a synthetic N-row dataset is
 // written shard by shard (never fully resident), then trained through the
 // chunked ShardedDataset path under --streaming-budget-mib; peak RSS
-// (ru_maxrss) is reported so the fixed-footprint claim is checkable.
+// (ru_maxrss) is reported so the fixed-footprint claim is checkable.  Run
+// it in its own process (ru_maxrss is a whole-process high-water mark):
+//   data_plane --streaming-rows 10000000 --streaming-budget-mib 256
 #include <sys/resource.h>
 
 #include <chrono>

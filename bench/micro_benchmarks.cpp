@@ -2,7 +2,10 @@
 // the event engine, the contended-resource models, the monitor sampling
 // path, the network training step, and a small end-to-end scenario.
 // These bound the cost of the paper's "real-time monitoring and modelling
-// capabilities at the scale of HPC systems".
+// capabilities at the scale of HPC systems".  Run by hand, e.g.
+//   micro_benchmarks --benchmark_filter='BM_Gemm|BM_TrainerEpoch'
+// The bench_engine_smoke ctest runs the engine, FairLink and scenario
+// benchmarks briefly; gated whole-pipeline numbers come from perfbench/.
 #include <benchmark/benchmark.h>
 
 #include "qif/core/scenario.hpp"

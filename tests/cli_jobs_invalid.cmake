@@ -53,8 +53,28 @@ endforeach()
 foreach(value 3 5 2,3 2,5,8 x)
   expect_rejected(bins ${value} campaign amrex --out never.csv)
 endforeach()
-if(EXISTS ${WORK_DIR}/never.csv OR EXISTS ${WORK_DIR}/never.txt)
-  message(FATAL_ERROR "a rejected --jobs value still wrote an output file")
+# --seed is a whole unsigned 64-bit integer on every command that takes
+# one: a sign, junk or a value past 2^64-1 exits 1 naming it (-5 must not
+# wrap to 2^64-5), and a seed past INT_MAX is accepted.
+foreach(value -5 +5 7x 18446744073709551616)
+  expect_rejected(seed ${value} workloads export ior-easy-write --out never.qwp)
+  expect_rejected(seed ${value} run ior-easy-write)
+  expect_rejected(seed ${value} campaign amrex --out never.csv)
+  expect_rejected(seed ${value} dump-trace ior-easy-write --out never.txt)
+  expect_rejected(seed ${value} serve verify)
+endforeach()
+foreach(value 4294967291 18446744073709551615)
+  execute_process(COMMAND ${QIF_CLI} workloads export ior-easy-write --seed ${value}
+                          --out seed.qwp
+                  WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "`qif workloads export --seed ${value}` exited ${rc}:\n${out}\n${err}")
+  endif()
+endforeach()
+if(EXISTS ${WORK_DIR}/never.csv OR EXISTS ${WORK_DIR}/never.txt
+   OR EXISTS ${WORK_DIR}/never.qwp)
+  message(FATAL_ERROR "a rejected option value still wrote an output file")
 endif()
 
 # `qif train --out` into a directory that does not exist fails after

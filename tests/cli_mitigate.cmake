@@ -4,6 +4,8 @@
 #   - a mitigated contended run really differs from the off run, and its
 #     campaign dataset is identical across --jobs counts (the bit-identity
 #     contract);
+#   - the token:rate=64 study beats its off twin on mean degradation and
+#     victim p99 with a nonzero throttle count (mitigation wins);
 #   - malformed specs are rejected with a non-zero exit and a clear error.
 file(MAKE_DIRECTORY ${WORK_DIR})
 
@@ -71,6 +73,23 @@ if(NOT diff EQUAL 0)
 endif()
 if(NOT "${camp1}" MATCHES "mitigation on-vs-off")
   message(FATAL_ERROR "no on-vs-off comparison table in campaign output:\n${camp1}")
+endif()
+
+# Mitigation wins: on the same contended campaign the rate-constrained
+# token policy must beat its off twin on both mean degradation and victim
+# p99, and must really have throttled something.
+run_ok(study ${QIF_CLI} campaign custom --workload ior-easy-write --richness 0.25
+       --seed 7 --mitigate token:rate=64 --json --out wins.csv)
+string(REGEX MATCH "{\"policy\"[^\n]*" summary "${study}")
+if(summary STREQUAL "")
+  message(FATAL_ERROR "no {\"policy\":...} line in campaign --json output:\n${study}")
+endif()
+foreach(key off_deg on_deg off_p99_ms on_p99_ms throttle_waits)
+  string(JSON ${key} GET "${summary}" ${key})
+endforeach()
+if(NOT (on_deg LESS off_deg AND on_p99_ms LESS off_p99_ms AND throttle_waits GREATER 0))
+  message(FATAL_ERROR "mitigation did not win: deg ${off_deg} -> ${on_deg}, victim p99 "
+                      "${off_p99_ms} -> ${on_p99_ms} ms, ${throttle_waits} throttle waits")
 endif()
 
 # Malformed specs are rejected with the offending token named.

@@ -55,6 +55,20 @@ string(FIND "${out}" " 0 mismatches" zero_mismatches)
 if(NOT rc EQUAL 0 OR zero_mismatches EQUAL -1)
   message(FATAL_ERROR "serve verify on the published model failed (${rc}):\n${out}\n${err}")
 endif()
+# Without a model, serve verify builds a synthetic net: both architectures
+# must answer batched exactly as sync, with two producers and small batches
+# putting many batch boundaries inside the run.
+foreach(arch kernel attention)
+  execute_process(COMMAND ${QIF_CLI} serve verify --arch ${arch} --requests 400
+                          --producers 2 --max-batch 8 --json
+                  WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(FIND "${out}" "\"identical\": true" identical)
+  if(NOT rc EQUAL 0 OR identical EQUAL -1)
+    message(FATAL_ERROR "serve verify --arch ${arch}: batched replies diverged from "
+                        "sync (${rc}):\n${out}\n${err}")
+  endif()
+endforeach()
 run(${QIF_CLI} dump-trace openpmd --scale 0.5 --out trace.dxt)
 if(NOT EXISTS ${WORK_DIR}/reg/v1.qifm OR NOT EXISTS ${WORK_DIR}/trace.dxt)
   message(FATAL_ERROR "CLI round trip did not produce its artifacts")

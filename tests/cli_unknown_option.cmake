@@ -37,3 +37,23 @@ foreach(case "noise;option '--noise' needs a value" "mitigat;unknown option '--m
                         "without 'error: run: ${expect}':\n${out}\n${err}")
   endif()
 endforeach()
+
+# An option given twice is an error, not last-one-wins: `--ranks 1 --ranks 3`
+# must not quietly write a 3-rank program.  Flags count too.
+foreach(case "ranks;workloads;export;ior-easy-write;--ranks;1;--ranks;3;--out;twice.qwp"
+             "json;campaign;amrex;--json;--json;--out;twice.csv")
+  list(POP_FRONT case name)
+  list(GET case 0 cmd)
+  execute_process(COMMAND ${QIF_CLI} ${case}
+                  WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(FIND "${err}" "error: ${cmd}: option '--${name}' given twice" found)
+  string(REPLACE ";" " " shown "${case}")
+  if(NOT rc EQUAL 1 OR found EQUAL -1)
+    message(FATAL_ERROR "`qif ${shown}` exited ${rc} without "
+                        "'error: ${cmd}: option '--${name}' given twice':\n${out}\n${err}")
+  endif()
+endforeach()
+if(EXISTS ${WORK_DIR}/twice.qwp OR EXISTS ${WORK_DIR}/twice.csv)
+  message(FATAL_ERROR "a repeated option still wrote an output file")
+endif()

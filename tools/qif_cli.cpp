@@ -79,7 +79,7 @@
 //                   [--max-batch B] [--max-delay-us U] [--ring CAP]
 //                   [--inflight W] [--sync] [--swap-every-ms M] [--json]
 //   qif serve verify [--model F | --model-dir D] [--requests R] [--producers N]
-//                    [--max-batch B] [--json]
+//                    [--max-batch B] [--max-delay-us U] [--json]
 //   qif serve publish --model F --model-dir D
 //   qif serve versions --model-dir D
 //       Online-inference service front end.  `bench` floods the service
@@ -94,12 +94,14 @@
 //       model a synthetic bundle is generated (--arch kernel|attention,
 //       --classes C, --seed K) so smoke runs need no training step.
 //
-// Every subcommand rejects options it does not know (exit 1, naming the
-// option), so a typo or a retired option never silently changes a run.
-// Numeric values are parsed whole and range-checked the same way: trailing
-// junk, a non-number or a value below the option's minimum exits 1 naming
-// the option and the value (--scale/--richness must be finite and > 0,
-// --epochs and --instances >= 1, --classes >= 2, --bins is 2 or 2,5).
+// Every subcommand rejects options it does not know, and an option given
+// twice (exit 1, naming the option), so a typo, a retired option or a
+// repeated one never silently changes a run.  Numeric values are parsed
+// whole and range-checked the same way: trailing junk, a non-number or a
+// value below the option's minimum exits 1 naming the option and the
+// value (--scale/--richness must be finite and > 0, --epochs and
+// --instances >= 1, --classes >= 2, --bins is 2 or 2,5, --seed is any
+// unsigned 64-bit integer).
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -181,6 +183,21 @@ struct Args {
     }
     return v;
   }
+  /// A seed is any whole unsigned 64-bit integer: a sign, a fraction or
+  /// trailing junk is an error naming the value.
+  [[nodiscard]] std::uint64_t get_seed(std::uint64_t dflt) const {
+    const auto it = options.find("seed");
+    if (it == options.end()) return dflt;
+    const std::string& value = it->second;
+    std::uint64_t v = 0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec != std::errc{} || ptr != end) {
+      throw std::invalid_argument("--seed: expected an unsigned 64-bit integer, got '" +
+                                  value + "'");
+    }
+    return v;
+  }
 };
 
 /// Options that take no value (presence == true).
@@ -228,16 +245,21 @@ void check_options(const std::string& cmd, const Args& args) {
   }
 }
 
-Args parse(int argc, char** argv) {
+/// Splits argv into options and positionals; an option given twice is an
+/// error rather than a silent last-one-wins.
+Args parse(const std::string& cmd, int argc, char** argv) {
   Args args;
+  const auto set = [&](const std::string& key, std::string value) {
+    if (!args.options.emplace(key, std::move(value)).second) {
+      throw std::invalid_argument(cmd + ": option '--" + key + "' given twice");
+    }
+  };
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--", 0) == 0 && is_flag_option(a.substr(2))) {
-      // A string temporary, not the literal: assigning "1" trips a GCC 12
-      // -Wrestrict false positive once parse() is inlined into main().
-      args.options[a.substr(2)] = std::string("1");
+      set(a.substr(2), "1");
     } else if (a.rfind("--", 0) == 0 && i + 1 < argc) {
-      args.options[a.substr(2)] = argv[++i];
+      set(a.substr(2), argv[++i]);
     } else {
       args.positional.push_back(a);
     }
@@ -267,7 +289,8 @@ int usage() {
                "                         common: epoch seconds, scope=noise|all)\n"
                "  campaign <family> [--richness R] [--bins 2|2,5] [--seed K] [--jobs N]"
                " [--faults SPEC] [--mitigate POLICY] [--json]\n"
-               "      [--compress] [--stream-out DIR] --out F.{csv,qds}\n"
+               "      [--compress] [--stream-out DIR] [--replay-timing original|asap|scale=X]"
+               " --out F.{csv,qds}\n"
                "      family `custom` labels any --workload W (trace:/ckpt:/qwp: too)\n"
                "      --mitigate P runs on-vs-off twins over the same seeds and prints"
                " the comparison\n"
@@ -279,7 +302,8 @@ int usage() {
                " [--compress]\n"
                "  dataset merge <in.qdm> <out>\n"
                "  dump-trace <target> [--scale S] [--seed K]"
-               " [--topology CxSxT] --out F.txt\n"
+               " [--topology CxSxT] [--replay-timing original|asap|scale=X]\n"
+               "      --out F.txt\n"
                "      (a dump replays via `run trace:F.txt` — the closed loop)\n"
                "  serve bench [--model F | --model-dir D] [--producers N]"
                " [--requests R]\n"
@@ -287,7 +311,11 @@ int usage() {
                " [--sync]\n"
                "      [--swap-every-ms M] [--json]\n"
                "  serve verify [--model F | --model-dir D] [--requests R]"
-               " [--producers N] [--max-batch B] [--json]\n"
+               " [--producers N]\n"
+               "      [--max-batch B] [--max-delay-us U] [--json]\n"
+               "      without a model, bench and verify serve a synthetic net:"
+               " [--arch kernel|attention]\n"
+               "      [--classes C] [--seed K]\n"
                "  serve publish --model F --model-dir D\n"
                "  serve versions --model-dir D\n");
   return 2;
@@ -372,7 +400,7 @@ int cmd_workloads(const Args& args) {
       return 1;
     }
     const int n_ranks = args.get_int("ranks", 4, 1);
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    const auto seed = args.get_seed(1);
     const double scale = args.get_double("scale", 1.0);
     workloads::WorkloadProgram prog;
     prog.workload = name;
@@ -465,12 +493,11 @@ int cmd_run(const Args& args) {
     return 1;
   }
   core::ScenarioConfig cfg;
-  cfg.cluster = core::testbed_cluster_config(
-      static_cast<std::uint64_t>(args.get_int("seed", 1)));
+  cfg.cluster = core::testbed_cluster_config(args.get_seed(1));
   cfg.target.workload = target;
   cfg.target.nodes = {0, 1};
   cfg.target.procs_per_node = 2;
-  cfg.target.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  cfg.target.seed = args.get_seed(1);
   cfg.target.scale = args.get_double("scale", 1.0);
   cfg.monitors = false;
   apply_cluster_options(cfg, args);
@@ -584,7 +611,7 @@ int cmd_campaign(const Args& args) {
   const std::string family = args.positional[0];
   core::DatasetOptions opts;
   opts.richness = args.get_double("richness", 1.0);
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  opts.seed = args.get_seed(42);
   opts.verbose = true;
   const std::string bins = args.get("bins", "2");
   if (bins == "2,5") {
@@ -906,12 +933,11 @@ int cmd_dump_trace(const Args& args) {
     return 1;
   }
   core::ScenarioConfig cfg;
-  cfg.cluster = core::testbed_cluster_config(
-      static_cast<std::uint64_t>(args.get_int("seed", 1)));
+  cfg.cluster = core::testbed_cluster_config(args.get_seed(1));
   cfg.target.workload = target;
   cfg.target.nodes = {0, 1};
   cfg.target.procs_per_node = 2;
-  cfg.target.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  cfg.target.seed = args.get_seed(1);
   cfg.target.scale = args.get_double("scale", 1.0);
   cfg.monitors = false;
   apply_cluster_options(cfg, args);
@@ -960,7 +986,7 @@ serve::ServingModel resolve_serving_model(const Args& args) {
   // path is the real one, which is all latency and identity runs need.
   serve::ServingModel model;
   model.n_classes = args.get_int("classes", 2, 2);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const auto seed = args.get_seed(7);
   const std::string arch = args.get("arch", "kernel");
   if (arch == "attention") {
     ml::AttentionNetConfig cfg;
@@ -1157,7 +1183,7 @@ int cmd_serve_bench(const Args& args) {
   const std::size_t per_producer =
       (requests + static_cast<std::size_t>(producers) - 1) /
       static_cast<std::size_t>(producers);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const auto seed = args.get_seed(7);
   if (args.options.count("sync") != 0) {
     const BenchOutcome o = run_sync_bench(model, requests, seed);
     print_bench_outcome("sync", o, nullptr, 1, 0, nullptr,
@@ -1237,7 +1263,7 @@ int cmd_serve_verify(const Args& args) {
   const std::size_t per_producer =
       (requests + static_cast<std::size_t>(producers) - 1) /
       static_cast<std::size_t>(producers);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const auto seed = args.get_seed(7);
   serve::ServiceConfig scfg;
   scfg.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 32, 1));
   scfg.max_delay_us = args.get_int("max-delay-us", 100, 0);
@@ -1341,8 +1367,8 @@ int cmd_serve(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  const Args args = parse(argc, argv);
   try {
+    const Args args = parse(cmd, argc, argv);
     check_options(cmd, args);
     if (cmd == "workloads") return cmd_workloads(args);
     if (cmd == "run") return cmd_run(args);
